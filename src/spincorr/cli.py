@@ -156,6 +156,8 @@ def _emit(lines: list, out: str | None) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.instances < 1:
+        raise DomainError(f"--instances must be at least 1, got {args.instances}")
     model = load_model(args.model)
     field = model.field
     tol = args.tol if args.tol is not None else 1e-10

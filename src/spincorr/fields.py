@@ -467,14 +467,31 @@ class FieldBounds:
         return self.contraction_lhs < 1.0
 
 
+def _exp(x: float) -> float:
+    """math.exp that saturates to inf instead of raising OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _gate_growth(e: float, n_x: int, decay: float) -> float:
+    """2 (1 + 2 e n_x) (exp(exp(decay) - 1) - 1); exactly 0 when the decay
+    factor is 0, even for e = inf."""
+    factor = _exp(_exp(decay) - 1.0) - 1.0
+    return 2.0 * (1.0 + 2.0 * e * n_x) * factor if factor else 0.0
+
+
 def bounds_from_norms(norm_d1: float, decay_total: float, n_x: int) -> FieldBounds:
-    """Contraction constants from the one-point norm and decay sum."""
+    """Contraction constants from the one-point norm and decay sum.
+
+    Huge norms saturate to inf (the gate then fails) instead of overflowing."""
     if norm_d1 < 0 or decay_total < 0 or n_x < 1:
         raise DomainError("norms must be nonnegative and n_x >= 1")
-    e = math.exp(norm_d1)
-    c1 = e * n_x / (1.0 + e * n_x)
+    e = _exp(norm_d1)
+    c1 = e * n_x / (1.0 + e * n_x) if e < math.inf else 1.0
     c1_proof = e * n_x / (1.0 + math.exp(-norm_d1) * n_x)
-    c2 = 2.0 * (1.0 + 2.0 * e * n_x) * (math.exp(math.exp(decay_total) - 1.0) - 1.0)
+    c2 = _gate_growth(e, n_x, decay_total)
     lhs = max(c1, c1_proof) * (1.0 + c2)
     return FieldBounds(norm_d1, decay_total, n_x, c1, c1_proof, c2, lhs)
 
@@ -487,13 +504,12 @@ def field_bounds(field: OnePointField, scan_budget: int = NORM_SCAN_BUDGET) -> F
 
 
 def remark1_sufficiency(phi_norm: float, n_x: int) -> tuple[float, bool]:
-    """Closed-form gate for vacuum pair potentials from the potential norm."""
+    """Closed-form gate for vacuum pair potentials from the potential norm.
+
+    Huge norms saturate to inf (the check then fails) instead of overflowing."""
     if phi_norm < 0 or n_x < 1:
         raise DomainError("potential norm must be nonnegative and n_x >= 1")
-    e2 = math.exp(2.0 * phi_norm)
+    e2 = _exp(2.0 * phi_norm)
     first = e2 * n_x / (1.0 + math.exp(-2.0 * phi_norm) * n_x)
-    second = 1.0 + 2.0 * (1.0 + 2.0 * e2 * n_x) * (
-        math.exp(math.exp(phi_norm) - 1.0) - 1.0
-    )
-    lhs = first * second
+    lhs = first * (1.0 + _gate_growth(e2, n_x, phi_norm))
     return lhs, lhs < 1.0

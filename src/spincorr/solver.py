@@ -4,7 +4,7 @@ The correlation function solves a fixed-point equation rho = delta + K rho
 where K = gamma (S + T) acts on functions over finite non-vacuum
 configurations.  This module materializes the operator rows over a finite
 domain (supports inside a window, support size capped by k_max), iterates
-the equation, optionally cross-checks with a dense direct linear solve,
+the equation, optionally cross-checks with a sparse direct (LU) solve,
 and evaluates the contraction and tail bounds that certify convergence.
 
 Row coefficients: for a configuration x with minimal site t and remainder
@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Mapping, Sequence
 
 from .checks import check_environment_condition, environment_plan_random
@@ -54,7 +54,6 @@ from .parallel import block_ranges, map_blocks
 
 DEFAULT_TOL = 1e-12
 DEFAULT_RESIDUAL_TOL = 1e-10
-DIRECT_UNKNOWN_LIMIT = 2 ** 14
 DEFAULT_MAX_UNKNOWNS = 2 ** 20
 FALLBACK_MAX_ITERS = 3000
 RATE_NOISE_FLOOR = 1e-11
@@ -653,29 +652,33 @@ def _iterate(
 
 
 def _direct_solve(ctx: OperatorContext) -> list:
+    """Solve (I - K) rho = free by sparse LU on the materialized rows."""
     import numpy
+    from scipy.sparse import csr_matrix, identity
+    from scipy.sparse.linalg import splu
 
-    n = len(ctx.domain)
-    if n > DIRECT_UNKNOWN_LIMIT:
-        raise BudgetExceededError(
-            f"direct route limited to {DIRECT_UNKNOWN_LIMIT} unknowns, "
-            f"domain has {n}",
-            required=n,
-            budget=DIRECT_UNKNOWN_LIMIT,
-        )
-    system = numpy.eye(n)
     assert ctx.rows is not None
-    for i, (_, idxs, coeffs, _) in enumerate(ctx.rows):
-        for j, c in zip(idxs, coeffs):
-            system[i, j] -= c
-    rhs = numpy.array(ctx.free_vector())
+    n = len(ctx.domain)
+    indptr = numpy.cumsum([0] + [len(row[1]) for row in ctx.rows])
+    indices = numpy.fromiter(
+        chain.from_iterable(row[1] for row in ctx.rows), numpy.int64
+    )
+    data = numpy.fromiter(chain.from_iterable(row[2] for row in ctx.rows), float)
+    kernel = csr_matrix((data, indices, indptr), shape=(n, n))
+    system = (identity(n, format="csc") - kernel).tocsc()
     try:
-        solution = numpy.linalg.solve(system, rhs)
-    except numpy.linalg.LinAlgError as exc:
+        solution = splu(system).solve(numpy.array(ctx.free_vector()))
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SolverDivergenceError(
             f"direct linear solve failed: {exc}", rate=math.inf, iterations=0
         )
-    return [float(v) for v in solution]
+    if not numpy.all(numpy.isfinite(solution)):
+        raise SolverDivergenceError(
+            "direct linear solve produced non-finite values",
+            rate=math.inf,
+            iterations=0,
+        )
+    return solution.tolist()
 
 
 def _solve(

@@ -22,7 +22,29 @@ def model(name: str) -> str:
     return str(MODELS / f"{name}.model")
 
 
+def huge_coupling_model(tmp_path, coupling: str) -> str:
+    path = tmp_path / "huge.model"
+    path.write_text(
+        "dimension = 1\n"
+        "spins = 0 1\n"
+        "vacuum = 0\n"
+        "range = 1\n"
+        f"coupling (1) 1 1 = {coupling}\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_rejects_instances_below_one(self, instances):
+        proc = run_cli(
+            "verify", "--model", model("perturbed"), "--instances", instances
+        )
+        assert proc.returncode == 2
+        assert "[pass]" not in proc.stdout
+        assert "--instances" in proc.stderr
+
     def test_passes_on_pair_model(self):
         proc = run_cli(
             "verify", "--model", model("chain_gated"), "--instances", "300"
@@ -178,6 +200,17 @@ class TestSolveCommand:
         assert proc.returncode == 5
         assert "rate" in proc.stderr
 
+    @pytest.mark.parametrize("coupling", ["800", "1e300"])
+    def test_huge_coupling_is_exit_four(self, tmp_path, coupling):
+        proc = run_cli(
+            "solve",
+            "--model",
+            huge_coupling_model(tmp_path, coupling),
+            "--window=0:3",
+        )
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+
     def test_budget_is_exit_three(self):
         proc = run_cli("solve", "--model", model("chain_gated"), "--window=0:24")
         assert proc.returncode == 3
@@ -225,6 +258,15 @@ class TestBoundsCommand:
         proc = run_cli("bounds", "--model", model("chain_j02"))
         assert proc.returncode == 0, proc.stderr
         assert "gate = FAIL" in proc.stdout
+
+    @pytest.mark.parametrize("coupling", ["800", "1e300"])
+    def test_huge_coupling_saturates(self, tmp_path, coupling):
+        proc = run_cli("bounds", "--model", huge_coupling_model(tmp_path, coupling))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "contraction_lhs = inf" in proc.stdout
+        assert "gate = FAIL" in proc.stdout
+        assert "remark1 = FAIL" in proc.stdout
 
 
 class TestInputErrors:

@@ -254,6 +254,18 @@ class TestNormsAndBounds:
             946.0918251702647, rel=1e-12
         )
 
+    def test_bounds_saturate_on_huge_norms(self):
+        for norm in (1600.0, 2e300, math.inf):
+            b = bounds_from_norms(norm, norm, 1)
+            assert b.c1 == 1.0
+            assert b.contraction_lhs == math.inf
+            assert not b.passes
+            assert remark1_sufficiency(norm / 2, 1) == (math.inf, False)
+        # no decay: C2 stays exactly 0 even when exp(norm) saturates
+        b = bounds_from_norms(1600.0, 0.0, 1)
+        assert b.c2 == 0.0
+        assert b.contraction_lhs == math.inf
+
     @given(j=st.floats(0.0, 0.4), radius=st.integers(1, 2))
     @settings(max_examples=25, deadline=None)
     def test_norm_delta1_scales_with_neighbors(self, j, radius):

@@ -25,6 +25,7 @@ from spincorr.solver import (
     KernelTruncation,
     OperatorContext,
     SupportedFunction,
+    _direct_solve,
     apply_G,
     apply_K,
     bstar_norm,
@@ -246,6 +247,31 @@ class TestSolveRoutes:
         _, report = solve_finite_volume(field, chain_window(5), method="both")
         assert report.direct_deviation is not None
         assert report.direct_deviation <= 1e-11
+
+    def test_both_at_iterative_sizes(self):
+        # the direct route takes the same 32767-unknown domain as the iteration
+        _, report = solve_finite_volume(
+            chain_field(0.045), chain_window(15), method="both"
+        )
+        assert report.unknowns == 2 ** 15 - 1
+        assert report.direct_deviation <= 1e-10
+
+    def test_direct_singular_system_is_divergence(self):
+        ctx = OperatorContext(chain_field(0.045), frozenset(chain_window(3)), 3)
+        ctx.materialize()
+        # rho(x) = free + rho(x) makes row 0 of I - K vanish
+        ctx.rows[0] = (1.0, (0,), (1.0,), 0.0)
+        with pytest.raises(SolverDivergenceError) as err:
+            _direct_solve(ctx)
+        assert err.value.iterations == 0
+
+    def test_direct_non_finite_solution_is_divergence(self):
+        ctx = OperatorContext(chain_field(0.045), frozenset(chain_window(3)), 3)
+        ctx.materialize()
+        _, idxs, coeffs, dropped = ctx.rows[0]
+        ctx.rows[0] = (math.inf, idxs, coeffs, dropped)
+        with pytest.raises(SolverDivergenceError):
+            _direct_solve(ctx)
 
     def test_initial_iterate_does_not_matter(self):
         field = chain_field(0.045)
