@@ -5,6 +5,10 @@ the algebraic identities those fields must satisfy, enumerates exact
 finite-volume correlation functions, solves the correlation fixed-point
 equation by contraction iteration, and quantifies how fast window
 correlation values approach their large-volume limit.
+
+The top-level namespace holds the core names only; the solver, the
+convergence study and the bound and report types are imported from their
+modules (``spincorr.solver``, ``spincorr.fields``, ``spincorr.exact``).
 """
 
 from .errors import (
@@ -32,10 +36,6 @@ from .lattice import (
     split_min,
 )
 from .fields import (
-    DecaySums,
-    FieldBounds,
-    OnePointField,
-    PairField,
     PairPotential,
     PerturbedField,
     TripleInteractionField,
@@ -49,14 +49,11 @@ from .fields import (
     remark1_sufficiency,
 )
 from .checks import (
-    CheckReport,
     check_environment_condition,
     check_field_consistency,
     check_one_point_consistency,
 )
 from .exact import (
-    CorrelationTable,
-    GibbsTable,
     gibbs_distribution,
     partition_function,
     read_table,
@@ -66,86 +63,43 @@ from .exact import (
     write_table,
 )
 from .modelfile import Model, load_model, model_digest, parse_model
-from .solver import (
-    ConvergencePoint,
-    ConvergenceSeries,
-    KernelTruncation,
-    NormCertificate,
-    SolveReport,
-    SupportedFunction,
-    apply_G,
-    apply_K,
-    bstar_norm,
-    convergence_profile,
-    delta_fn,
-    epsilon_bound,
-    gamma,
-    kernel,
-    operator_norm_certificate,
-    solve_finite_volume,
-    solve_infinite_volume,
-    tail_f_bound,
-    write_series,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "CheckReport",
     "Configuration",
-    "ConvergencePoint",
-    "ConvergenceSeries",
-    "CorrelationTable",
-    "DecaySums",
     "DomainError",
     "EMPTY_CONFIG",
     "EnvironmentConditionError",
-    "FieldBounds",
     "GateNotCertifiedError",
-    "GibbsTable",
-    "KernelTruncation",
     "Model",
     "ModelDefinitionError",
     "ModelFileError",
-    "NormCertificate",
-    "OnePointField",
-    "PairField",
     "PairPotential",
     "PerturbedField",
-    "SolveReport",
     "SolverDivergenceError",
     "SpinSpace",
     "SpincorrError",
-    "SupportedFunction",
     "TripleInteractionField",
     "ZeroField",
-    "apply_G",
-    "apply_K",
     "ball",
     "box",
-    "bstar_norm",
     "chebyshev_distance",
     "check_environment_condition",
     "check_field_consistency",
     "check_one_point_consistency",
     "concat",
-    "convergence_profile",
     "decay_sums",
-    "delta_fn",
     "delta_volume",
     "distance_to_complement",
     "enumerate_configs",
-    "epsilon_bound",
     "field_bounds",
-    "gamma",
     "gibbs_distribution",
     "interior",
-    "kernel",
     "load_model",
     "model_digest",
     "norm_delta1",
-    "operator_norm_certificate",
     "pair_potential_field",
     "pair_potential_norm",
     "parse_model",
@@ -155,11 +109,7 @@ __all__ = [
     "rho_exact",
     "rho_probe",
     "set_distance",
-    "solve_finite_volume",
-    "solve_infinite_volume",
     "split_min",
-    "tail_f_bound",
     "verify_correlation_equation",
-    "write_series",
     "write_table",
 ]

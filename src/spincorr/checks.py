@@ -8,12 +8,10 @@ can be randomized at any size or exhaustive over small windows.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError
 from .fields import OnePointField, delta_volume
 from .lattice import (
     EMPTY_CONFIG,
@@ -44,13 +42,6 @@ class CheckReport:
             f"{self.name}: instances={self.instances} "
             f"max_residual={self.max_residual:.3e} tol={self.tolerance:.1e} [{tag}]"
         )
-
-
-def _merge(*parts: Configuration) -> Configuration:
-    out = EMPTY_CONFIG
-    for p in parts:
-        out = concat(out, p)
-    return out
 
 
 def _random_site(rng: random.Random, dimension: int, span: int = 4) -> Site:

@@ -13,6 +13,7 @@ budget exceeded, 4 contraction gate not certified, 5 solver divergence.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 
@@ -47,6 +48,7 @@ from .lattice import Configuration, box
 from .modelfile import Model, load_model
 from .solver import (
     convergence_profile,
+    series_lines,
     solve_finite_volume,
     solve_infinite_volume,
     write_series,
@@ -308,21 +310,7 @@ def cmd_converge(args) -> int:
     )
     if args.out:
         write_series(args.out, series, _headers(model, args, tol))
-    lines = [
-        f"reference_size = {series.reference_size}",
-        f"reference_method = {series.reference_method}",
-        f"epsilon_source = {series.epsilon_source}",
-    ]
-    if series.contraction is not None:
-        lines.append(f"contraction = {series.contraction!r}")
-    lines.append("window_size,d,max_abs_deviation,epsilon_bound,iterations,residual")
-    for p in series.points:
-        eps = "" if p.epsilon is None else repr(p.epsilon)
-        lines.append(
-            f"{p.window_size},{p.depth},{p.max_deviation!r},{eps},"
-            f"{p.iterations},{p.residual!r}"
-        )
-    _emit(lines, None)
+    _emit(series_lines(series), None)
     return 0
 
 
@@ -416,10 +404,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_common(args) -> None:
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        raise DomainError(f"--tol must be finite and > 0, got {args.tol!r}")
+    if args.threads < 1:
+        raise DomainError(f"--threads must be at least 1, got {args.threads}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_common(args)
         return args.func(args)
     except ModelFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

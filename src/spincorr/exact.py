@@ -494,6 +494,33 @@ def theorem_g_value(
     return math.fsum(terms)
 
 
+def correlation_rhs(
+    field: OnePointField,
+    window: frozenset,
+    table: CorrelationTable,
+    x: Configuration,
+    kernel_cache: dict | None = None,
+) -> float:
+    """Right-hand side of the correlation equation at the nonempty
+    configuration x, reading correlation values from the table."""
+    spins = field.spins
+    vac = spins.vacuum_index
+    star = spins.star_indices
+    t, x_t, rest = split_min(x)
+    boundary_map = dict(rest.items)
+    weights = {alpha: math.exp(field.eval(t, boundary_map, alpha, vac)) for alpha in star}
+    denom = 1.0 + math.fsum(weights[alpha] for alpha in star)
+    gamma = weights[x_t] / denom
+
+    g_x = theorem_g_value(field, window, table, t, x_t, rest, kernel_cache)
+    # alpha = vacuum contributes weight 1 and a vanishing kernel sum.
+    correction = [g_x]
+    for alpha in star:
+        g_alpha = theorem_g_value(field, window, table, t, alpha, rest, kernel_cache)
+        correction.append(weights[alpha] * (g_x - g_alpha))
+    return gamma * (table.value(rest) + math.fsum(correction))
+
+
 def verify_correlation_equation(
     field: OnePointField,
     window: Iterable[tuple],
@@ -510,9 +537,6 @@ def verify_correlation_equation(
     window = frozenset(window)
     _environment_precheck(field, env_instances, min(tolerance, 1e-10))
 
-    spins = field.spins
-    vac = spins.vacuum_index
-    star = spins.star_indices
     kernel_cache: dict = {}
     worst = 0.0
     witness = ""
@@ -521,20 +545,7 @@ def verify_correlation_equation(
     for x, lhs in table.sorted_items():
         if not x:
             continue
-        t, x_t, rest = split_min(x)
-        boundary_map = dict(rest.items)
-        weights = {alpha: math.exp(field.eval(t, boundary_map, alpha, vac)) for alpha in star}
-        denom = 1.0 + math.fsum(weights[alpha] for alpha in star)
-        gamma = weights[x_t] / denom
-
-        g_x = theorem_g_value(field, window, table, t, x_t, rest, kernel_cache)
-        # alpha = vacuum contributes weight 1 and a vanishing kernel sum.
-        correction = [g_x]
-        for alpha in star:
-            g_alpha = theorem_g_value(field, window, table, t, alpha, rest, kernel_cache)
-            correction.append(weights[alpha] * (g_x - g_alpha))
-        rhs = gamma * (table.value(rest) + math.fsum(correction))
-
+        rhs = correlation_rhs(field, window, table, x, kernel_cache)
         residual = abs(lhs - rhs)
         count += 1
         if residual > worst:

@@ -16,12 +16,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, ModelDefinitionError
 from .lattice import (
-    EMPTY_CONFIG,
     Configuration,
     SpinSpace,
     Site,
     ball,
-    chebyshev_distance,
     validate_site,
 )
 
@@ -390,16 +388,6 @@ class DecaySums:
     dimension: int
     total: float  # the worst-case single-spin sum (the constant D)
     per_offset: Mapping[Site, float]
-
-    def sigma(self, window: Iterable[Site], reference: Site | None = None) -> float:
-        """Strength left outside a window around the reference site."""
-        ref = (0,) * self.dimension if reference is None else reference
-        win = frozenset(window)
-        return math.fsum(
-            g
-            for off, g in sorted(self.per_offset.items())
-            if tuple(a + o for a, o in zip(ref, off)) not in win
-        )
 
     def sigma_tail(self, r: int) -> float:
         """Strength beyond Chebyshev distance ``r`` from the reference."""

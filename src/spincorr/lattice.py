@@ -253,14 +253,12 @@ def interior(window: Iterable[Site], r: int) -> frozenset:
 def enumerate_configs(
     window: Iterable[Site],
     spins: SpinSpace,
-    star_only: bool = True,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Iterator[Configuration]:
     """Enumerate configurations over a window in a deterministic order.
 
-    With the vacuum left implicit, the sub-configurations on all supports
-    J of the window (star_only) and the full spin assignments on the window
-    coincide as objects; the flag records which reading the caller intends.
+    With the vacuum left implicit, the full spin assignments on the window
+    and the sub-configurations on all supports of the window coincide.
     """
     sites = sorted(window)
     count = spins.size ** len(sites)
@@ -270,7 +268,6 @@ def enumerate_configs(
             required=count,
             budget=budget,
         )
-    del star_only  # both readings enumerate the same objects
     vacuum = spins.vacuum_index
     choices = spins.indices
 

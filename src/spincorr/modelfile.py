@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from .errors import ModelFileError
 from .fields import (
     OnePointField,
-    PairField,
     PairPotential,
     PerturbedField,
     pair_potential_field,
@@ -99,6 +98,8 @@ def parse_model(text: str) -> Model:
         if not value:
             raise ModelFileError("missing value", line_no)
         fields = key_part.split()
+        if not fields:
+            raise ModelFileError("missing key", line_no)
         keyword = fields[0]
         if keyword in ("coupling", "perturb"):
             if len(fields) != 4:

@@ -75,21 +75,11 @@ class SupportedFunction:
     def value(self, config: Configuration) -> float:
         return self.table.get(config, 0.0)
 
-    def project(self, volume: Iterable[tuple]) -> "SupportedFunction":
-        volume = frozenset(volume)
-        kept = {c: v for c, v in self.table.items() if c.support <= volume}
-        return SupportedFunction(self.window, self.k_max, kept)
 
-    def sorted_items(self) -> list:
-        return sorted(self.table.items(), key=lambda kv: (len(kv[0]), kv[0].items))
-
-
-def bstar_norm(phi) -> float:
+def bstar_norm(table: Mapping[Configuration, float]) -> float:
     """Sequence-space norm: the largest per-support sum of absolute values.
 
-    Accepts a SupportedFunction or a plain Configuration -> float mapping.
     The empty configuration does not belong to any support class."""
-    table = phi.table if isinstance(phi, SupportedFunction) else phi
     groups: dict = {}
     for config, value in table.items():
         if not config:
@@ -146,42 +136,6 @@ class SolveReport:
 
 def _sub(a: tuple, b: tuple) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def gamma(field: OnePointField, x: Configuration) -> float:
-    """Single-site conditional weight of x_t given the rest of x."""
-    if not x:
-        raise DomainError("gamma needs a nonempty configuration")
-    t, x_t, rest = split_min(x)
-    spins = field.spins
-    vac = spins.vacuum_index
-    boundary = dict(rest.items)
-    weights = [math.exp(field.eval(t, boundary, a, vac)) for a in spins.star_indices]
-    numer = 1.0 if x_t == vac else weights[spins.star_indices.index(x_t)]
-    return numer / (1.0 + math.fsum(weights))
-
-
-def delta_fn(field: OnePointField, x: Configuration) -> float:
-    """Free term of the correlation equation: gamma on singletons, else 0."""
-    if not x:
-        raise DomainError("delta_fn needs a nonempty configuration")
-    if len(x) > 1:
-        return 0.0
-    return gamma(field, x)
-
-
-def kernel(field: OnePointField, t: tuple, x_t: int, y: Configuration) -> float:
-    """Product kernel over the support of y with the single boundary spin
-    x_t at t.  Identically 0 when x_t is the vacuum."""
-    if t in y.support:
-        raise DomainError("kernel requires t outside the support of y")
-    vac = field.spins.vacuum_index
-    result = 1.0
-    for s, b in y.items:
-        shifted = field.eval(s, {t: x_t}, b, vac)
-        free = field.eval(s, {}, b, vac)
-        result *= math.exp(shifted - free) - 1.0
-    return result
 
 
 class OperatorContext:
@@ -421,13 +375,9 @@ class OperatorContext:
         """Largest per-support sum of dropped reference mass; feeds the
         truncation certificate of window-restricted solves."""
         assert self.rows is not None
-        groups: dict = {}
-        for config, (_, _, _, dropped) in zip(self.domain, self.rows):
-            if dropped == 0.0:
-                continue
-            key = tuple(site for site, _ in config.items)
-            groups.setdefault(key, []).append(dropped)
-        return max((math.fsum(vs) for vs in groups.values()), default=0.0)
+        return bstar_norm(
+            {x: row[3] for x, row in zip(self.domain, self.rows) if row[3] != 0.0}
+        )
 
     def support_groups(self) -> list:
         groups: dict = {}
@@ -458,85 +408,6 @@ class OperatorContext:
         return [row[0] for row in self.rows]
 
 
-def apply_G(
-    field: OnePointField,
-    phi: SupportedFunction,
-    x: Configuration,
-    truncation: KernelTruncation = EXACT_TRUNCATION,
-) -> float:
-    """Inner kernel sum of the operator at x, reading phi (0 outside its
-    domain).  J runs over subsets of the interaction ball around the
-    minimal site; terms whose support leaves the window read 0 throughout
-    and vanish, so the window intersection below is exact."""
-    if not x:
-        raise DomainError("apply_G needs a nonempty configuration")
-    t, x_t, rest = split_min(x)
-    spins = field.spins
-    star = spins.star_indices
-    vac = spins.vacuum_index
-    radius = field.radius
-    if truncation.interaction_radius is not None:
-        radius = min(radius, truncation.interaction_radius)
-    candidates = sorted((ball(t, radius) & phi.window) - x.support - {t})
-    j_cap = len(candidates) if truncation.j_max is None else min(
-        len(candidates), truncation.j_max
-    )
-    terms = []
-    for k in range(1, j_cap + 1):
-        for subset in combinations(candidates, k):
-            for assignment in product(star, repeat=k):
-                prod = 1.0
-                for s, b in zip(subset, assignment):
-                    shifted = field.eval(s, {t: x_t}, b, vac)
-                    free = field.eval(s, {}, b, vac)
-                    prod *= math.exp(shifted - free) - 1.0
-                    if prod == 0.0:
-                        break
-                if prod == 0.0:
-                    continue
-                base = Configuration._make(merge_items(rest.items, tuple(zip(subset, assignment))))
-                inner = phi.value(base)
-                for beta in star:
-                    inner -= phi.value(
-                        Configuration._make(merge_items(base.items, ((t, beta),)))
-                    )
-                terms.append(prod * inner)
-    return math.fsum(terms)
-
-
-def apply_K(
-    field: OnePointField,
-    phi: SupportedFunction,
-    truncation: KernelTruncation = EXACT_TRUNCATION,
-    projection: Iterable[tuple] | None = None,
-    threads: int = 1,
-) -> SupportedFunction:
-    """One application of the operator to phi, on the domain of supports
-    inside phi's window (optionally projected to a sub-volume)."""
-    ctx = OperatorContext(
-        field, phi.window, phi.k_max, truncation, restrict_to_window=True
-    )
-    volume = None if projection is None else frozenset(projection)
-    table: dict = {}
-
-    def job(start: int, stop: int) -> list:
-        out = []
-        for i in range(start, stop):
-            x = ctx.domain[i]
-            if volume is not None and not x.support <= volume:
-                continue
-            _, keys, coeffs, _ = ctx.row(x)
-            value = math.fsum([c * phi.value(k) for c, k in zip(coeffs, keys)])
-            out.append((x, value))
-        return out
-
-    for chunk in map_blocks(job, block_ranges(len(ctx.domain), 256), threads):
-        for x, value in chunk:
-            if value != 0.0:
-                table[x] = value
-    return SupportedFunction(phi.window, phi.k_max, table)
-
-
 def _environment_gate(field: OnePointField, instances: int = ENV_CHECK_INSTANCES) -> None:
     import random
 
@@ -560,7 +431,7 @@ def _contraction_gate(
         raise GateNotCertifiedError(
             "contraction gate fails: "
             f"max(C1, C1') (1 + C2) = {bounds.contraction_lhs!r} >= 1; "
-            "run with the gate override to iterate anyway (unverified)"
+            "run with the gate override to proceed anyway (unverified)"
         )
     return certified, (not certified) and override
 
@@ -860,26 +731,6 @@ def solve_infinite_volume(
     return solution, report
 
 
-@dataclass(frozen=True)
-class NormCertificate:
-    bound: float
-    empirical: float | None
-
-    @property
-    def certified(self) -> bool:
-        return self.bound < 1.0
-
-
-def operator_norm_certificate(
-    field: OnePointField, report: SolveReport | None = None
-) -> NormCertificate:
-    """Certified upper bound on the operator norm (conservative constant
-    variant), with the observed iteration rate as an empirical check."""
-    bounds = field_bounds(field)
-    empirical = report.empirical_contraction_rate if report is not None else None
-    return NormCertificate(bounds.contraction_lhs, empirical)
-
-
 def delta_norm(field: OnePointField) -> float:
     """Norm of the free term: per site, the total conditional weight of
     the non-vacuum spins with empty boundary."""
@@ -1017,13 +868,7 @@ def convergence_profile(
 
     spins = field.spins
     bounds = field_bounds(field)
-    certified = bounds.passes
-    if not certified and not override_gate:
-        raise GateNotCertifiedError(
-            "contraction gate fails: "
-            f"max(C1, C1') (1 + C2) = {bounds.contraction_lhs!r} >= 1; "
-            "run with the gate override to proceed anyway (unverified)"
-        )
+    certified, _ = _contraction_gate(bounds, override_gate)
 
     reference = vols[-1]
     if spins.size ** len(reference) <= budget:
@@ -1105,17 +950,19 @@ def convergence_profile(
     )
 
 
-def write_series(path: str, series: ConvergenceSeries, headers: Mapping[str, str] | None = None) -> None:
-    """Emit the convergence series as delimiter-separated text."""
-    lines = []
+def series_lines(
+    series: ConvergenceSeries,
+    headers: Mapping[str, str] | None = None,
+    prefix: str = "",
+) -> list:
+    """Summary lines (`prefix` + 'key = value') and CSV rows of a series."""
     merged = dict(headers or {})
     merged["reference_size"] = str(series.reference_size)
     merged["reference_method"] = series.reference_method
     merged["epsilon_source"] = series.epsilon_source
     if series.contraction is not None:
         merged["contraction"] = repr(series.contraction)
-    for key, value in merged.items():
-        lines.append(f"# {key} = {value}")
+    lines = [f"{prefix}{key} = {value}" for key, value in merged.items()]
     lines.append("window_size,d,max_abs_deviation,epsilon_bound,iterations,residual")
     for p in series.points:
         eps = "" if p.epsilon is None else repr(p.epsilon)
@@ -1123,5 +970,10 @@ def write_series(path: str, series: ConvergenceSeries, headers: Mapping[str, str
             f"{p.window_size},{p.depth},{p.max_deviation!r},{eps},"
             f"{p.iterations},{p.residual!r}"
         )
+    return lines
+
+
+def write_series(path: str, series: ConvergenceSeries, headers: Mapping[str, str] | None = None) -> None:
+    """Emit the convergence series as delimiter-separated text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(series_lines(series, headers, "# ")) + "\n")

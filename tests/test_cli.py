@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from spincorr import cli
+
 ROOT = pathlib.Path(__file__).parent.parent
 MODELS = ROOT / "models"
 
@@ -267,6 +269,28 @@ class TestBoundsCommand:
         assert "contraction_lhs = inf" in proc.stdout
         assert "gate = FAIL" in proc.stdout
         assert "remark1 = FAIL" in proc.stdout
+
+
+class TestCommonFlags:
+    COMMANDS = {
+        "verify": ["verify", "--instances", "5"],
+        "exact": ["exact", "--window=0:1"],
+        "solve": ["solve", "--window=0:1"],
+        "converge": ["converge", "--window=0:0;0:1"],
+        "bounds": ["bounds"],
+    }
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--tol=0", "--tol=-1", "--tol=nan", "--tol=inf", "--threads=0", "--threads=-3"],
+    )
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_of_domain_is_exit_two(self, capsys, command, flag):
+        argv = [*self.COMMANDS[command], "--model", model("chain_gated"), flag]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert flag.partition("=")[0] in err
 
 
 class TestInputErrors:

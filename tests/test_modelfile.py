@@ -137,6 +137,9 @@ class TestErrors:
         self.expect(BASE.replace("spins = 0 1", "spins = 0 a,b"), "','")
         self.expect(BASE.replace("spins = 0 1", "spins = 0 a;b"), "';'")
 
+    def test_missing_key(self):
+        self.expect("= 0\n" + BASE, "missing key", line=1)
+
     def test_line_numbers_reported(self):
         self.expect("dimension = 1\njunk\n", "key = value", line=2)
 

@@ -13,7 +13,7 @@ from spincorr import (
     SolverDivergenceError,
     rho_exact,
 )
-from spincorr.exact import CorrelationTable, theorem_g_value
+from spincorr.exact import CorrelationTable, correlation_rhs
 from spincorr.fields import (
     TripleInteractionField,
     ZeroField,
@@ -26,16 +26,10 @@ from spincorr.solver import (
     OperatorContext,
     SupportedFunction,
     _direct_solve,
-    apply_G,
-    apply_K,
     bstar_norm,
     convergence_profile,
-    delta_fn,
     delta_norm,
     epsilon_bound,
-    gamma,
-    kernel,
-    operator_norm_certificate,
     solve_finite_volume,
     solve_infinite_volume,
     tail_f_bound,
@@ -56,6 +50,18 @@ def centered_window(n: int) -> tuple:
     return tuple((i,) for i in range(-n, n + 1))
 
 
+def free_term(field, x: Configuration) -> float:
+    """Free term of the materialized row of x (gamma on singletons, else 0)."""
+    return OperatorContext(field, x.support, len(x)).row(x)[0]
+
+
+def remainder_coefficient(field, x: Configuration) -> float:
+    """Coefficient of the row of x on its remainder x' (gamma for |x| > 1)."""
+    _, keys, coeffs, _ = OperatorContext(field, x.support, len(x)).row(x)
+    assert keys[0] == split_min(x)[2]
+    return coeffs[0]
+
+
 class TestNorms:
     def test_bstar_groups_by_support(self):
         # Two entries share the support {(0,)}: their absolute values add.
@@ -73,7 +79,7 @@ class TestNorms:
     def test_bstar_empty_table(self):
         assert bstar_norm({}) == 0.0
 
-    def test_supported_function_lookup_and_projection(self):
+    def test_supported_function_lookup(self):
         phi = SupportedFunction(
             W2,
             2,
@@ -81,43 +87,38 @@ class TestNorms:
         )
         assert phi.value(singleton((0,))) == 0.5
         assert phi.value(singleton((1,))) == 0.0
-        kept = phi.project([(0,)])
-        assert set(kept.table) == {singleton((0,))}
 
 
 class TestRowIngredients:
     def test_gamma_zero_field(self):
-        assert gamma(ZeroField(SPINS2), singleton((0,))) == pytest.approx(0.5, abs=1e-15)
-        assert gamma(ZeroField(SPINS3), singleton((0,))) == pytest.approx(
+        # gamma of a singleton is its free term
+        assert free_term(ZeroField(SPINS2), singleton((0,))) == pytest.approx(
+            0.5, abs=1e-15
+        )
+        assert free_term(ZeroField(SPINS3), singleton((0,))) == pytest.approx(
             1.0 / 3.0, abs=1e-15
         )
 
     def test_gamma_conditions_on_remainder(self):
         # gamma of the pair row equals w/(1+w) with w = exp(-ln 2) = 1/2.
-        value = gamma(chain_field(LN2), config(((0,), 1), ((1,), 1)))
+        value = remainder_coefficient(chain_field(LN2), config(((0,), 1), ((1,), 1)))
         assert value == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_delta_fn(self):
         field = ZeroField(SPINS2)
-        assert delta_fn(field, singleton((0,))) == pytest.approx(0.5, abs=1e-15)
-        assert delta_fn(field, config(((0,), 1), ((1,), 1))) == 0.0
+        assert free_term(field, singleton((0,))) == pytest.approx(0.5, abs=1e-15)
+        assert free_term(field, config(((0,), 1), ((1,), 1))) == 0.0
         with pytest.raises(DomainError):
-            delta_fn(field, EMPTY_CONFIG)
+            OperatorContext(field, W2, 2).row(EMPTY_CONFIG)
 
     def test_kernel_hand_values(self):
-        field = chain_field(LN2)
+        kf = OperatorContext(chain_field(LN2), W2, 2).kernel_factor
         # Adjacent occupied site: exp(-ln 2) - 1 = -1/2.
-        assert kernel(field, (0,), 1, singleton((1,))) == pytest.approx(-0.5, abs=1e-15)
+        assert kf((0,), (1,), 1, 1) == pytest.approx(-0.5, abs=1e-15)
         # Beyond the interaction radius the factor vanishes.
-        assert kernel(field, (0,), 1, singleton((5,))) == 0.0
+        assert kf((0,), (5,), 1, 1) == 0.0
         # A vacuum spin at t produces no interaction at all.
-        assert kernel(field, (0,), 0, singleton((1,))) == 0.0
-        # Empty product.
-        assert kernel(field, (0,), 1, EMPTY_CONFIG) == 1.0
-
-    def test_kernel_rejects_overlap(self):
-        with pytest.raises(DomainError):
-            kernel(chain_field(0.1), (0,), 1, singleton((0,)))
+        assert kf((0,), (1,), 0, 1) == 0.0
 
     def test_two_site_row_coefficients(self):
         # Hand-solved 2x2 system for the coupled pair at coupling ln 2:
@@ -160,6 +161,8 @@ class TestOperatorApplication:
     def test_apply_g_matches_enumeration_side_sum(
         self, dimension, spins, radius, n_sites
     ):
+        # materialized rows (free term plus K applied to arbitrary values)
+        # against the right-hand side computed by the enumeration module
         rng = random.Random(hash((dimension, spins.size, radius)) & 0xFFFF)
         field = random_pair_field(rng, dimension, spins, radius, max_coupling=0.4)
         if dimension == 1:
@@ -171,53 +174,29 @@ class TestOperatorApplication:
             if cfg:
                 values[cfg] = rng.uniform(-1.0, 1.0)
         table = CorrelationTable(frozenset(window), values, None)
-        phi = SupportedFunction(
-            frozenset(window),
-            len(window),
-            {c: v for c, v in values.items() if c},
-        )
+        ctx = OperatorContext(field, frozenset(window), len(window))
+        ctx.materialize()
+        assert len(ctx.domain) == len(values) - 1
+        image = ctx.matvec([values[x] for x in ctx.domain])
+        free = ctx.free_vector()
         cache: dict = {}
-        for x in sorted(values, key=lambda c: (len(c), c.items)):
-            if not x:
-                continue
-            t, x_t, rest = split_min(x)
-            got = apply_G(field, phi, x)
-            want = theorem_g_value(field, frozenset(window), table, t, x_t, rest, cache)
+        for i, x in enumerate(ctx.domain):
+            got = free[i] + image[i]
+            want = correlation_rhs(field, frozenset(window), table, x, cache)
             assert got == pytest.approx(want, abs=1e-12), x
-
-    def test_apply_g_needs_nonempty(self):
-        phi = SupportedFunction(W2, 2, {})
-        with pytest.raises(DomainError):
-            apply_G(chain_field(0.1), phi, EMPTY_CONFIG)
 
     def test_exact_table_is_fixed_point(self):
         field = chain_field(0.045)
         window = chain_window(6)
         table = rho_exact(field, window)
-        phi = SupportedFunction(
-            frozenset(window),
-            len(window),
-            {c: v for c, v in table.values.items() if c},
+        ctx = OperatorContext(field, frozenset(window), len(window))
+        ctx.materialize()
+        phi = [table.values[x] for x in ctx.domain]
+        image = ctx.matvec(phi)
+        worst = max(
+            abs(p - (f + v)) for p, f, v in zip(phi, ctx.free_vector(), image)
         )
-        image = apply_K(field, phi)
-        worst = 0.0
-        for x in phi.table:
-            want = delta_fn(field, x) + image.value(x)
-            worst = max(worst, abs(phi.value(x) - want))
         assert worst <= 1e-12
-
-    def test_apply_k_projection(self):
-        field = chain_field(0.045)
-        window = chain_window(4)
-        table = rho_exact(field, window)
-        phi = SupportedFunction(
-            frozenset(window),
-            len(window),
-            {c: v for c, v in table.values.items() if c},
-        )
-        sub = ((0,), (1,))
-        image = apply_K(field, phi, projection=sub)
-        assert all(x.support <= frozenset(sub) for x in image.table)
 
 
 class TestSolveRoutes:
@@ -429,17 +408,17 @@ class TestInfiniteVolume:
 class TestCertificates:
     def test_operator_norm_certificate(self):
         field = chain_field(0.045)
-        cert = operator_norm_certificate(field)
-        assert cert.bound == field_bounds(field).contraction_lhs
-        assert cert.certified
-        assert cert.empirical is None
         _, report = solve_finite_volume(field, chain_window(4))
-        cert2 = operator_norm_certificate(field, report)
-        assert cert2.empirical == report.empirical_contraction_rate
-        assert cert2.empirical <= cert2.bound + 0.05
+        assert report.operator_norm_bound == field_bounds(field).contraction_lhs
+        assert report.certified
+        assert report.empirical_contraction_rate <= report.operator_norm_bound + 0.05
 
     def test_uncertified_bound(self):
-        assert not operator_norm_certificate(chain_field(LN2)).certified
+        field = chain_field(LN2)
+        assert not field_bounds(field).passes
+        _, report = solve_finite_volume(field, W2, override_gate=True)
+        assert report.operator_norm_bound >= 1.0
+        assert not report.certified
 
     def test_delta_norm_values(self):
         assert delta_norm(ZeroField(SPINS2)) == pytest.approx(0.5, abs=1e-15)
