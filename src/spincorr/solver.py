@@ -53,9 +53,10 @@ from .lattice import (
 from .parallel import block_ranges, map_blocks
 
 DEFAULT_TOL = 1e-12
-DEFAULT_RESIDUAL_TOL = 1e-10
-DEFAULT_MAX_UNKNOWNS = 2 ** 20
+RESIDUAL_TOL = 1e-10
+MAX_UNKNOWNS = 2 ** 20
 FALLBACK_MAX_ITERS = 3000
+PROFILE_SOLVER_LIMIT = 2 ** 10
 RATE_NOISE_FLOOR = 1e-11
 ENV_CHECK_INSTANCES = 300
 _ENV_CHECK_SEED = 20260816
@@ -87,33 +88,6 @@ def bstar_norm(table: Mapping[Configuration, float]) -> float:
         key = tuple(site for site, _ in config.items)
         groups.setdefault(key, []).append(abs(value))
     return max((math.fsum(vs) for vs in groups.values()), default=0.0)
-
-
-@dataclass(frozen=True)
-class KernelTruncation:
-    """Work bounds for the J-sums of the operator.
-
-    interaction_radius of None means the field's own radius (exact for
-    finite-range fields).  j_max caps |J|; term_floor drops row terms
-    whose certified magnitude is below it.  Every cut accumulates an
-    upper bound on the dropped row mass (exact magnitudes for term_floor,
-    a per-site mass envelope for the radius and j_max caps), which feeds
-    the truncation certificate of the solve report."""
-
-    interaction_radius: int | None = None
-    j_max: int | None = None
-    term_floor: float = 0.0
-
-    def __post_init__(self):
-        if self.interaction_radius is not None and self.interaction_radius < 0:
-            raise DomainError("interaction_radius must be >= 0")
-        if self.j_max is not None and self.j_max < 0:
-            raise DomainError("j_max must be >= 0")
-        if self.term_floor < 0.0:
-            raise DomainError("term_floor must be >= 0")
-
-
-EXACT_TRUNCATION = KernelTruncation()
 
 
 @dataclass(frozen=True)
@@ -153,9 +127,7 @@ class OperatorContext:
         field: OnePointField,
         window: frozenset,
         k_max: int,
-        truncation: KernelTruncation = EXACT_TRUNCATION,
         restrict_to_window: bool = True,
-        max_unknowns: int = DEFAULT_MAX_UNKNOWNS,
     ):
         if k_max < 1:
             raise DomainError("k_max must be >= 1")
@@ -163,11 +135,7 @@ class OperatorContext:
         self.spins = field.spins
         self.window = frozenset(window)
         self.k_max = min(k_max, len(self.window))
-        self.truncation = truncation
-        if truncation.interaction_radius is None:
-            self.radius = field.radius
-        else:
-            self.radius = min(field.radius, truncation.interaction_radius)
+        self.radius = field.radius
         self.restrict_to_window = restrict_to_window
         self._vac = self.spins.vacuum_index
         self._star = self.spins.star_indices
@@ -180,11 +148,11 @@ class OperatorContext:
             math.comb(n_sites, k) * self.spins.n_x ** k
             for k in range(1, self.k_max + 1)
         )
-        if count > max_unknowns:
+        if count > MAX_UNKNOWNS:
             raise BudgetExceededError(
-                f"operator domain needs {count} unknowns, limit is {max_unknowns}",
+                f"operator domain needs {count} unknowns, limit is {MAX_UNKNOWNS}",
                 required=count,
-                budget=max_unknowns,
+                budget=MAX_UNKNOWNS,
             )
         self.domain = self._build_domain()
         self.index = {config: i for i, config in enumerate(self.domain)}
@@ -246,7 +214,7 @@ class OperatorContext:
         return got
 
     def row(self, x: Configuration) -> tuple:
-        """(free_term, keys, coeffs, floor_dropped) for one domain entry."""
+        """(free_term, keys, coeffs) for one domain entry."""
         t, x_t, rest = split_min(x)
         denom, weights = self._gamma_weights(t, rest)
         star = self._star
@@ -261,16 +229,16 @@ class OperatorContext:
         candidates = ball(t, self.radius) - x.support - {t}
         if self.restrict_to_window:
             candidates &= self.window
-        sites = sorted(candidates)
-        weight_sum = denom  # 1 + sum of star weights
-        j_cap = len(sites) if self.truncation.j_max is None else min(
-            len(sites), self.truncation.j_max
-        )
-        floor = self.truncation.term_floor
-        floor_dropped = 0.0
-        n_star = len(star)
         kf = self.kernel_factor
-        for k in range(1, j_cap + 1):
+        # every subset term containing a site whose kernel factors all
+        # vanish has coefficient 0, so such sites never enter the J-sum
+        sites = [
+            s
+            for s in sorted(candidates)
+            if any(kf(t, s, a, b) for a in star for b in star)
+        ]
+        weight_sum = denom  # 1 + sum of star weights
+        for k in range(1, len(sites) + 1):
             for subset in combinations(sites, k):
                 for assignment in product(star, repeat=k):
                     k_by_spin = []
@@ -288,9 +256,6 @@ class OperatorContext:
                     coeff = gamma_x * kappa
                     if coeff == 0.0:
                         continue
-                    if floor > 0.0 and abs(coeff) * (1 + n_star) < floor:
-                        floor_dropped += abs(coeff) * (1 + n_star)
-                        continue
                     y_items = tuple(zip(subset, assignment))
                     base_items = merge_items(rest.items, y_items)
                     keys.append(Configuration._make(base_items))
@@ -299,47 +264,7 @@ class OperatorContext:
                         beta_items = merge_items(base_items, ((t, beta),))
                         keys.append(Configuration._make(beta_items))
                         coeffs.append(-coeff)
-        envelope = self._cut_envelope(t, x, sites, j_cap)
-        if envelope > 0.0:
-            # |kappa| <= (2*weight_sum - 1) * prod of per-site masses, and
-            # each term generates 1 + n_star reads of unit-bounded values
-            floor_dropped += (
-                gamma_x * (1 + n_star) * (2.0 * weight_sum - 1.0) * envelope
-            )
-        return free_term, keys, coeffs, floor_dropped
-
-    def _cut_envelope(
-        self, t: tuple, x: Configuration, kept_sites: list, j_cap: int
-    ) -> float:
-        """Upper bound, per unit of gamma and read count, on the summed
-        kernel-product mass of the (J, y) terms cut by the radius and j_max
-        caps.  Per-site mass M(s) sums, over the spin b placed at s, the
-        largest |kernel factor| over boundary spins; all subset terms then
-        weigh at most prod(1 + M) - 1, while the enumerated ones weigh at
-        most the elementary symmetric sums e_1..e_{j_cap} of the kept
-        sites."""
-        field = self.field
-        if j_cap >= len(kept_sites) and self.radius >= field.radius:
-            return 0.0
-        star = self._star
-        kf = self.kernel_factor
-        full = ball(t, field.radius) - x.support
-        if self.restrict_to_window:
-            full &= self.window
-        mass = {
-            s: math.fsum(max(abs(kf(t, s, a, b)) for a in star) for b in star)
-            for s in sorted(full)
-        }
-        total = 1.0
-        for m in mass.values():
-            total *= 1.0 + m
-        esym = [1.0] + [0.0] * j_cap
-        for s in kept_sites:
-            m = mass[s]
-            for k in range(j_cap, 0, -1):
-                esym[k] += m * esym[k - 1]
-        enumerated = math.fsum(esym[1:])
-        return max(0.0, (total - 1.0) - enumerated)
+        return free_term, keys, coeffs
 
     def materialize(self, threads: int = 1) -> None:
         """Resolve all rows to domain indices.  References outside the
@@ -352,10 +277,10 @@ class OperatorContext:
         def job(start: int, stop: int) -> list:
             out = []
             for i in range(start, stop):
-                free_term, keys, coeffs, floor_dropped = self.row(domain[i])
+                free_term, keys, coeffs = self.row(domain[i])
                 idxs = []
                 kept = []
-                dropped = floor_dropped
+                dropped = 0.0
                 for key, coeff in zip(keys, coeffs):
                     j = index.get(key)
                     if j is None:
@@ -443,14 +368,7 @@ def _auto_max_iters(bound: float, tol: float, certified: bool) -> int:
     return FALLBACK_MAX_ITERS
 
 
-def _iterate(
-    ctx: OperatorContext,
-    tol: float,
-    residual_tol: float,
-    max_iters: int,
-    threads: int,
-    initial: str,
-) -> tuple:
+def _iterate(ctx: OperatorContext, tol: float, limit: int, threads: int) -> tuple:
     free = ctx.free_vector()
     groups = ctx.support_groups()
 
@@ -460,17 +378,11 @@ def _iterate(
             default=0.0,
         )
 
-    if initial == "delta":
-        phi = list(free)
-    elif initial == "zero":
-        phi = [0.0] * len(free)
-    else:
-        raise DomainError(f"unknown initial iterate {initial!r}")
-
+    phi = list(free)
     updates: list = []
     iterations = 0
     converged = False
-    while iterations < max_iters:
+    while iterations < limit:
         image = ctx.matvec(phi, threads)
         new = [f + v for f, v in zip(free, image)]
         diff = [a - b for a, b in zip(new, phi)]
@@ -498,19 +410,19 @@ def _iterate(
     if not converged:
         rate = updates[-1] / updates[-2] if len(updates) > 1 else math.inf
         raise SolverDivergenceError(
-            f"no convergence within {max_iters} iterations "
+            f"no convergence within {limit} iterations "
             f"(last update norm {updates[-1]!r})",
             rate=rate,
-            iterations=max_iters,
+            iterations=limit,
         )
 
     image = ctx.matvec(phi, threads)
     residual_vec = [p - f - v for p, f, v in zip(phi, free, image)]
     residual = group_norm(residual_vec)
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise SolverDivergenceError(
             f"converged updates but residual {residual!r} exceeds "
-            f"{residual_tol!r}",
+            f"{RESIDUAL_TOL!r}",
             rate=updates[-1] / updates[-2] if len(updates) > 1 else 0.0,
             iterations=iterations,
         )
@@ -556,16 +468,11 @@ def _solve(
     field: OnePointField,
     window: frozenset,
     k_max: int,
-    truncation: KernelTruncation,
     restrict_to_window: bool,
     tol: float,
-    residual_tol: float,
     method: str,
     override_gate: bool,
     threads: int,
-    max_iters: int | None,
-    initial: str,
-    max_unknowns: int,
     notes: tuple,
 ) -> tuple:
     if method not in ("iterative", "direct", "both"):
@@ -574,18 +481,9 @@ def _solve(
     bounds = field_bounds(field)
     certified, overridden = _contraction_gate(bounds, override_gate)
     bound = bounds.contraction_lhs
-    ctx = OperatorContext(
-        field,
-        window,
-        k_max,
-        truncation,
-        restrict_to_window=restrict_to_window,
-        max_unknowns=max_unknowns,
-    )
+    ctx = OperatorContext(field, window, k_max, restrict_to_window)
     ctx.materialize(threads)
-    limit = max_iters if max_iters is not None else _auto_max_iters(
-        bound, tol, certified
-    )
+    limit = _auto_max_iters(bound, tol, certified)
 
     direct_vec = None
     if method in ("direct", "both"):
@@ -597,7 +495,7 @@ def _solve(
     rate = 0.0
     if method in ("iterative", "both"):
         phi_vec, iterations, update_norm, residual, rate = _iterate(
-            ctx, tol, residual_tol, limit, threads, initial
+            ctx, tol, limit, threads
         )
 
     direct_deviation = None
@@ -640,16 +538,11 @@ def _solve(
 def solve_finite_volume(
     field: OnePointField,
     window: Iterable[tuple],
-    truncation: KernelTruncation = EXACT_TRUNCATION,
     tol: float = DEFAULT_TOL,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
     k_max: int | None = None,
     method: str = "iterative",
     override_gate: bool = False,
     threads: int = 1,
-    max_iters: int | None = None,
-    initial: str = "delta",
-    max_unknowns: int = DEFAULT_MAX_UNKNOWNS,
 ) -> tuple:
     """Solve the window-projected correlation equation.
 
@@ -663,16 +556,11 @@ def solve_finite_volume(
         field,
         window,
         len(window) if k_max is None else k_max,
-        truncation,
         True,
         tol,
-        residual_tol,
         method,
         override_gate,
         threads,
-        max_iters,
-        initial,
-        max_unknowns,
         notes=("finite-volume",),
     )
     return solution, report
@@ -681,16 +569,11 @@ def solve_finite_volume(
 def solve_infinite_volume(
     field: OnePointField,
     window: Iterable[tuple],
-    truncation: KernelTruncation = EXACT_TRUNCATION,
     tol: float = DEFAULT_TOL,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
     k_max: int = 4,
     method: str = "iterative",
     override_gate: bool = False,
     threads: int = 1,
-    max_iters: int | None = None,
-    initial: str = "delta",
-    max_unknowns: int = DEFAULT_MAX_UNKNOWNS,
 ) -> tuple:
     """Iterate the unprojected operator with reads confined to the window.
 
@@ -706,16 +589,11 @@ def solve_infinite_volume(
         field,
         window,
         k_max,
-        truncation,
         False,
         tol,
-        residual_tol,
         method,
         override_gate,
         threads,
-        max_iters,
-        initial,
-        max_unknowns,
         notes=(
             "infinite-volume window iteration; trust values only for "
             "supports deep inside the window",
@@ -836,12 +714,8 @@ def convergence_profile(
     windows: Sequence[Iterable[tuple]],
     probes: Sequence[Configuration],
     tol: float = DEFAULT_TOL,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
     threads: int = 1,
     override_gate: bool = False,
-    solver_limit: int = 2 ** 10,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    truncation: KernelTruncation = EXACT_TRUNCATION,
 ) -> ConvergenceSeries:
     """Deviation-vs-depth study: how fast window correlation values
     approach the large-volume limit.
@@ -871,17 +745,15 @@ def convergence_profile(
     certified, _ = _contraction_gate(bounds, override_gate)
 
     reference = vols[-1]
-    if spins.size ** len(reference) <= budget:
-        ref_values = rho_probe(field, reference, probes, threads=threads, budget=budget)
+    if spins.size ** len(reference) <= DEFAULT_ENUM_BUDGET:
+        ref_values = rho_probe(field, reference, probes, threads=threads)
         reference_method = "enumeration"
     else:
         k_max = max(4, max(len(p) for p in probes))
         sol, _ = solve_infinite_volume(
             field,
             reference,
-            truncation,
             tol,
-            residual_tol,
             k_max=k_max,
             override_gate=override_gate,
             threads=threads,
@@ -897,13 +769,11 @@ def convergence_profile(
             for probe in probes
         )
         unknowns = spins.size ** len(window) - 1
-        if unknowns <= solver_limit:
+        if unknowns <= PROFILE_SOLVER_LIMIT:
             solution, report = solve_finite_volume(
                 field,
                 window,
-                truncation,
                 tol,
-                residual_tol,
                 override_gate=override_gate,
                 threads=threads,
             )
@@ -912,7 +782,7 @@ def convergence_profile(
             residual = report.residual_norm
             rates.append(report.empirical_contraction_rate)
         else:
-            values = rho_probe(field, window, probes, threads=threads, budget=budget)
+            values = rho_probe(field, window, probes, threads=threads)
             iterations = 0
             residual = 0.0
         deviation = max(abs(values[p] - ref_values[p]) for p in probes)

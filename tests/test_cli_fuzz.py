@@ -1,8 +1,8 @@
 """Generated command lines and model files, valid and mangled, run through
 ``cli.main`` in-process: every run must end in a documented exit code.
 
-The generator keeps models at dimension <= 2 and range <= 2 (<= 1 in 2-d)
-and windows at <= 4 sites so each example runs in milliseconds."""
+The generator keeps models at dimension <= 2 and range <= 2 and windows at
+<= 4 sites so each example runs in milliseconds."""
 
 import contextlib
 import io
@@ -32,9 +32,7 @@ def model_texts(draw):
     dim = draw(st.integers(1, 2))
     labels = draw(st.lists(st.sampled_from(LABELS), min_size=2, max_size=3, unique=True))
     vacuum = draw(st.sampled_from(labels))
-    # at range 2 in 2-d every window-iteration row enumerates the subsets of
-    # a 24-site interaction ball, which takes minutes
-    radius = draw(st.integers(0, 2 if dim == 1 else 1))
+    radius = draw(st.integers(0, 2))
     lines = [
         f"dimension = {dim}",
         f"spins = {' '.join(labels)}",

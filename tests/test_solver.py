@@ -1,5 +1,8 @@
 import math
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,8 +13,11 @@ from spincorr import (
     EMPTY_CONFIG,
     EnvironmentConditionError,
     GateNotCertifiedError,
+    PairPotential,
     SolverDivergenceError,
+    pair_potential_field,
     rho_exact,
+    solver,
 )
 from spincorr.exact import CorrelationTable, correlation_rhs
 from spincorr.fields import (
@@ -21,8 +27,6 @@ from spincorr.fields import (
 )
 from spincorr.lattice import enumerate_configs, split_min
 from spincorr.solver import (
-    EXACT_TRUNCATION,
-    KernelTruncation,
     OperatorContext,
     SupportedFunction,
     _direct_solve,
@@ -38,6 +42,7 @@ from spincorr.solver import (
 
 from support import SPINS2, SPINS3, chain_field, config, random_pair_field, singleton
 
+ROOT = pathlib.Path(__file__).parent.parent
 LN2 = math.log(2.0)
 W2 = frozenset(((0,), (1,)))
 
@@ -55,9 +60,29 @@ def free_term(field, x: Configuration) -> float:
     return OperatorContext(field, x.support, len(x)).row(x)[0]
 
 
+def assert_rows_match_oracle(rng, field, window: tuple) -> None:
+    """Materialized rows (free term plus K applied to arbitrary values)
+    against the right-hand side computed by the enumeration module."""
+    values = {EMPTY_CONFIG: 1.0}
+    for cfg in enumerate_configs(window, field.spins):
+        if cfg:
+            values[cfg] = rng.uniform(-1.0, 1.0)
+    table = CorrelationTable(frozenset(window), values, None)
+    ctx = OperatorContext(field, frozenset(window), len(window))
+    ctx.materialize()
+    assert len(ctx.domain) == len(values) - 1
+    image = ctx.matvec([values[x] for x in ctx.domain])
+    free = ctx.free_vector()
+    cache: dict = {}
+    for i, x in enumerate(ctx.domain):
+        got = free[i] + image[i]
+        want = correlation_rhs(field, frozenset(window), table, x, cache)
+        assert got == pytest.approx(want, abs=1e-12), x
+
+
 def remainder_coefficient(field, x: Configuration) -> float:
     """Coefficient of the row of x on its remainder x' (gamma for |x| > 1)."""
-    _, keys, coeffs, _ = OperatorContext(field, x.support, len(x)).row(x)
+    _, keys, coeffs = OperatorContext(field, x.support, len(x)).row(x)
     assert keys[0] == split_min(x)[2]
     return coeffs[0]
 
@@ -124,10 +149,10 @@ class TestRowIngredients:
         # Hand-solved 2x2 system for the coupled pair at coupling ln 2:
         # singleton row reads -1/4 on the other singleton and +1/4 on the
         # pair; the pair row reads +1/3 on its remainder.
-        ctx = OperatorContext(chain_field(LN2), W2, 2, EXACT_TRUNCATION)
+        ctx = OperatorContext(chain_field(LN2), W2, 2)
         rows = {}
         for x in ctx.domain:
-            free, keys, coeffs, _ = ctx.row(x)
+            free, keys, coeffs = ctx.row(x)
             agg: dict = {}
             for key, coeff in zip(keys, coeffs):
                 agg[key] = agg.get(key, 0.0) + coeff
@@ -161,29 +186,21 @@ class TestOperatorApplication:
     def test_apply_g_matches_enumeration_side_sum(
         self, dimension, spins, radius, n_sites
     ):
-        # materialized rows (free term plus K applied to arbitrary values)
-        # against the right-hand side computed by the enumeration module
         rng = random.Random(hash((dimension, spins.size, radius)) & 0xFFFF)
         field = random_pair_field(rng, dimension, spins, radius, max_coupling=0.4)
         if dimension == 1:
             window = chain_window(n_sites)
         else:
             window = tuple((i, j) for i in range(2) for j in range(2))
-        values = {EMPTY_CONFIG: 1.0}
-        for cfg in enumerate_configs(window, spins):
-            if cfg:
-                values[cfg] = rng.uniform(-1.0, 1.0)
-        table = CorrelationTable(frozenset(window), values, None)
-        ctx = OperatorContext(field, frozenset(window), len(window))
-        ctx.materialize()
-        assert len(ctx.domain) == len(values) - 1
-        image = ctx.matvec([values[x] for x in ctx.domain])
-        free = ctx.free_vector()
-        cache: dict = {}
-        for i, x in enumerate(ctx.domain):
-            got = free[i] + image[i]
-            want = correlation_rhs(field, frozenset(window), table, x, cache)
-            assert got == pytest.approx(want, abs=1e-12), x
+        assert_rows_match_oracle(rng, field, window)
+
+    def test_rows_with_uncoupled_sites_match_enumeration_side_sum(self):
+        # only spin a couples, and only at distance 1: the distance-2 sites
+        # of the range-2 ball have all kernel factors 0 and leave the J-sum,
+        # while the distance-1 sites couple for some spin pairs only
+        pot = PairPotential.create(1, 2, {((1,), 1, 1): 0.3}, SPINS3)
+        field = pair_potential_field(pot, SPINS3)
+        assert_rows_match_oracle(random.Random(7), field, chain_window(4))
 
     def test_exact_table_is_fixed_point(self):
         field = chain_field(0.045)
@@ -252,20 +269,10 @@ class TestSolveRoutes:
         with pytest.raises(SolverDivergenceError):
             _direct_solve(ctx)
 
-    def test_initial_iterate_does_not_matter(self):
-        field = chain_field(0.045)
-        window = chain_window(6)
-        sol_a, _ = solve_finite_volume(field, window, initial="delta")
-        sol_b, _ = solve_finite_volume(field, window, initial="zero")
-        worst = max(abs(sol_a.value(c) - sol_b.value(c)) for c in sol_a.table)
-        assert worst <= 1e-11
-
     def test_unknown_method_and_initial(self):
         field = chain_field(0.045)
         with pytest.raises(DomainError):
             solve_finite_volume(field, W2, method="fast")
-        with pytest.raises(DomainError):
-            solve_finite_volume(field, W2, initial="random")
 
     def test_empty_window(self):
         with pytest.raises(DomainError):
@@ -302,78 +309,11 @@ class TestGates:
         assert err.value.rate > 1.0
         assert err.value.iterations > 0
 
-    def test_max_iters_exhaustion(self):
+    def test_max_iters_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(solver, "_auto_max_iters", lambda *args: 2)
         with pytest.raises(SolverDivergenceError) as err:
-            solve_finite_volume(chain_field(0.045), chain_window(6), max_iters=2)
+            solve_finite_volume(chain_field(0.045), chain_window(6))
         assert err.value.iterations == 2
-
-
-class TestTruncation:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            KernelTruncation(interaction_radius=-1)
-        with pytest.raises(DomainError):
-            KernelTruncation(j_max=-1)
-        with pytest.raises(DomainError):
-            KernelTruncation(term_floor=-0.1)
-
-    def test_caps_at_field_radius_are_no_ops(self):
-        field = chain_field(0.045)
-        window = chain_window(6)
-        base, _ = solve_finite_volume(field, window)
-        for truncation in (
-            KernelTruncation(interaction_radius=1),
-            KernelTruncation(j_max=2),
-        ):
-            sol, report = solve_finite_volume(field, window, truncation=truncation)
-            assert max(abs(sol.value(c) - base.value(c)) for c in base.table) == 0.0
-            assert report.truncation_tail == 0.0
-
-    def test_j_cap_deviation_within_certificate(self):
-        field = chain_field(0.045)
-        window = chain_window(6)
-        table = rho_exact(field, window)
-        sol, report = solve_finite_volume(
-            field, window, truncation=KernelTruncation(j_max=1)
-        )
-        assert report.truncation_tail > 0.0
-        worst = max(abs(sol.value(c) - table.values[c]) for c in sol.table if c)
-        assert 0.0 < worst <= report.truncation_tail + 1e-12
-
-    def test_radius_cap_deviation_within_certificate(self):
-        field = chain_field(0.02, radius=2)
-        window = chain_window(6)
-        table = rho_exact(field, window)
-        sol, report = solve_finite_volume(
-            field, window, truncation=KernelTruncation(interaction_radius=1)
-        )
-        assert report.truncation_tail > 0.0
-        worst = max(abs(sol.value(c) - table.values[c]) for c in sol.table if c)
-        assert 0.0 < worst <= report.truncation_tail + 1e-12
-
-    def test_term_floor_deviation_within_certificate(self):
-        field = chain_field(0.045)
-        window = chain_window(6)
-        table = rho_exact(field, window)
-        sol, report = solve_finite_volume(
-            field, window, truncation=KernelTruncation(term_floor=3e-3)
-        )
-        assert report.truncation_tail > 0.0
-        worst = max(abs(sol.value(c) - table.values[c]) for c in sol.table if c)
-        assert worst <= report.truncation_tail + 1e-12
-
-    def test_support_cap_deviation_within_certificate(self):
-        # k_max below the window size drops reads of deeper supports; the
-        # report's relayed tail must still bound the true error.
-        field = chain_field(0.045)
-        window = chain_window(6)
-        table = rho_exact(field, window)
-        sol, report = solve_finite_volume(field, window, k_max=2)
-        assert report.truncation_tail > 0.0
-        worst = max(
-            abs(sol.value(c) - table.values[c]) for c in sol.table if 0 < len(c) <= 2
-        )
-        assert worst <= report.truncation_tail + 1e-12
 
 
 class TestInfiniteVolume:
@@ -405,6 +345,28 @@ class TestInfiniteVolume:
         assert report.tail_bounds is None
 
 
+    def test_zero_factor_sites_stay_out_of_the_j_sum(self, tmp_path):
+        # range 2 in 2-d puts 24 sites in the interaction ball, but only the
+        # two (0,+-1) neighbours couple; enumerating J over all 24 would
+        # walk 2^24 subsets per row
+        path = tmp_path / "sparse.model"
+        path.write_text(
+            "dimension = 2\nspins = 0 a\nvacuum = 0\nrange = 2\n"
+            "coupling (0,1) a a = 0.01\n",
+            encoding="utf-8",
+        )
+        argv = ["solve", "--model", str(path), "--window=0,1:0,1", "--kmax", "2"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "spincorr", *argv],
+            capture_output=True,
+            text=True,
+            cwd=ROOT,
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "unknowns = 1\n" in proc.stdout
+
+
 class TestCertificates:
     def test_operator_norm_certificate(self):
         field = chain_field(0.045)
@@ -419,6 +381,19 @@ class TestCertificates:
         _, report = solve_finite_volume(field, W2, override_gate=True)
         assert report.operator_norm_bound >= 1.0
         assert not report.certified
+
+    def test_support_cap_deviation_within_certificate(self):
+        # k_max below the window size drops reads of deeper supports; the
+        # report's relayed tail must still bound the true error.
+        field = chain_field(0.045)
+        window = chain_window(6)
+        table = rho_exact(field, window)
+        sol, report = solve_finite_volume(field, window, k_max=2)
+        assert report.truncation_tail > 0.0
+        worst = max(
+            abs(sol.value(c) - table.values[c]) for c in sol.table if 0 < len(c) <= 2
+        )
+        assert worst <= report.truncation_tail + 1e-12
 
     def test_delta_norm_values(self):
         assert delta_norm(ZeroField(SPINS2)) == pytest.approx(0.5, abs=1e-15)
