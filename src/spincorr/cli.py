@@ -37,7 +37,6 @@ from .errors import (
     SolverDivergenceError,
 )
 from .exact import (
-    CorrelationTable,
     read_table,
     rho_exact,
     verify_correlation_equation,
@@ -202,7 +201,7 @@ def cmd_exact(args) -> int:
         raise DomainError("exact needs --window")
     window = _parse_window(args.window, model.dimension)
     tol = args.tol if args.tol is not None else 1e-9
-    table = rho_exact(model.field, window, threads=args.threads)
+    table = rho_exact(model.field, window)
     report = verify_correlation_equation(model.field, window, table, tol)
     if args.out:
         write_table(args.out, table, model.spins, _headers(model, args, tol))
@@ -232,7 +231,6 @@ def cmd_solve(args) -> int:
             tol=tol,
             method=args.method,
             override_gate=args.override_gate,
-            threads=args.threads,
         )
     else:
         solution, report = solve_infinite_volume(
@@ -242,7 +240,6 @@ def cmd_solve(args) -> int:
             k_max=args.kmax,
             method=args.method,
             override_gate=args.override_gate,
-            threads=args.threads,
         )
 
     headers = _headers(model, args, tol)
@@ -260,8 +257,7 @@ def cmd_solve(args) -> int:
         }
     )
     if args.out:
-        out_table = CorrelationTable(window, dict(solution.table), None)
-        write_table(args.out, out_table, model.spins, headers)
+        write_table(args.out, solution, model.spins, headers)
 
     lines = [f"{k} = {v}" for k, v in headers.items() if k != "tolerance"]
     lines.insert(0, f"tolerance = {tol!r}")
@@ -276,12 +272,9 @@ def cmd_solve(args) -> int:
     if args.exact:
         exact_table = read_table(args.exact, model.spins)
         deviations = [0.0]
-        for config, value in exact_table.sorted_items():
-            if not config or not config.support <= window:
-                continue
-            if len(config) > solution.k_max:
-                continue
-            deviations.append(abs(solution.value(config) - value))
+        for config, value in exact_table.values.items():
+            if config in solution.values:
+                deviations.append(abs(solution.values[config] - value))
         lines.append(f"max_deviation_vs_exact = {max(deviations)!r}")
     _emit(lines, None)
     return 0
@@ -305,7 +298,6 @@ def cmd_converge(args) -> int:
         windows,
         probes,
         tol=tol,
-        threads=args.threads,
         override_gate=args.override_gate,
     )
     if args.out:
@@ -357,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None, help="check tolerance")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", help="output file path")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument(
+            "--threads", type=int, default=1, help="ignored; runs are single-threaded"
+        )
 
     p = sub.add_parser("verify", help="run the identity suites on a model")
     common(p)

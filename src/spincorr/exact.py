@@ -151,7 +151,6 @@ def _sum_weights(
     boundary: Configuration,
     fixed: Configuration,
     free_sites: Sequence[tuple],
-    threads: int = 1,
 ) -> float:
     total = field.spins.size ** len(free_sites)
 
@@ -164,7 +163,7 @@ def _sum_weights(
             walker.advance()
         return math.fsum(weights)
 
-    partials = map_blocks(job, block_ranges(total), threads)
+    partials = map_blocks(job, block_ranges(total))
     return math.fsum(partials)
 
 
@@ -172,13 +171,12 @@ def partition_function(
     field: OnePointField,
     window: Iterable[tuple],
     boundary: Configuration = EMPTY_CONFIG,
-    threads: int = 1,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> float:
     """Sum of exp{Delta_window(x, vacuum)} over all configurations x."""
     window = frozenset(window)
     _check_budget(field.spins, len(window), budget, "partition function")
-    return _sum_weights(field, window, boundary, EMPTY_CONFIG, sorted(window), threads)
+    return _sum_weights(field, window, boundary, EMPTY_CONFIG, sorted(window))
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,6 @@ def gibbs_distribution(
     window: Iterable[tuple],
     boundary: Configuration = EMPTY_CONFIG,
     reference: Configuration | None = None,
-    threads: int = 1,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> GibbsTable:
     """Normalized Boltzmann weights exp{Delta_window(x, reference)}.
@@ -246,7 +243,7 @@ def gibbs_distribution(
 
     table: dict = {}
     weights = []
-    for entries in map_blocks(job, block_ranges(total), threads):
+    for entries in map_blocks(job, block_ranges(total)):
         for key, w in entries:
             table[Configuration._make(key)] = w
             weights.append(w)
@@ -278,7 +275,6 @@ def _marginal_numerators(
     field: OnePointField,
     window: frozenset,
     boundary: Configuration,
-    threads: int,
 ) -> tuple:
     """One pass over all configurations z; the weight of z contributes to
     the numerator of every restriction of z to a subset of its support."""
@@ -305,7 +301,7 @@ def _marginal_numerators(
 
     z_parts = []
     partials: dict = {}
-    for z_part, local in map_blocks(job, block_ranges(total), threads):
+    for z_part, local in map_blocks(job, block_ranges(total)):
         z_parts.append(z_part)
         for key, value in local.items():
             partials.setdefault(key, []).append(value)
@@ -318,13 +314,12 @@ def _extension_numerators(
     field: OnePointField,
     window: frozenset,
     boundary: Configuration,
-    threads: int,
 ) -> tuple:
     """Independent route: one enumeration of extensions per target
     configuration, following the defining sum for the correlation value."""
     sites = sorted(window)
     spins = field.spins
-    z = _sum_weights(field, window, boundary, EMPTY_CONFIG, sites, threads)
+    z = _sum_weights(field, window, boundary, EMPTY_CONFIG, sites)
     numerators: dict = {}
     star = spins.star_indices
     for k in range(1, len(sites) + 1):
@@ -333,10 +328,8 @@ def _extension_numerators(
             free = [s for s in sites if s not in support_set]
             for assignment in product(star, repeat=k):
                 fixed = Configuration._make(tuple(zip(support, assignment)))
-                # per-target walks are short; a pool per target would cost
-                # more than it saves
                 numerators[fixed.items] = _sum_weights(
-                    field, window, boundary, fixed, free, 1
+                    field, window, boundary, fixed, free
                 )
     return z, numerators
 
@@ -345,7 +338,6 @@ def rho_exact(
     field: OnePointField,
     window: Iterable[tuple],
     boundary: Configuration = EMPTY_CONFIG,
-    threads: int = 1,
     budget: int = DEFAULT_ENUM_BUDGET,
     method: str = "both",
     self_check_tol: float = 1e-12,
@@ -373,11 +365,11 @@ def rho_exact(
             )
 
     if method == "extension":
-        z, numerators = _extension_numerators(field, window, boundary, threads)
+        z, numerators = _extension_numerators(field, window, boundary)
     else:
-        z, numerators = _marginal_numerators(field, window, boundary, threads)
+        z, numerators = _marginal_numerators(field, window, boundary)
         if method == "both":
-            z2, numerators2 = _extension_numerators(field, window, boundary, threads)
+            z2, numerators2 = _extension_numerators(field, window, boundary)
             worst = abs(z2 / z - 1.0)
             for key, num in numerators.items():
                 worst = max(worst, abs(num / z - numerators2[key] / z2))
@@ -397,7 +389,6 @@ def rho_probe(
     window: Iterable[tuple],
     probes: Sequence[Configuration],
     boundary: Configuration = EMPTY_CONFIG,
-    threads: int = 1,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> dict:
     """Correlation values for selected configurations only.
@@ -408,7 +399,7 @@ def rho_probe(
     window = frozenset(window)
     _check_budget(field.spins, len(window), budget, "correlation probe")
     sites = sorted(window)
-    z = _sum_weights(field, window, boundary, EMPTY_CONFIG, sites, threads)
+    z = _sum_weights(field, window, boundary, EMPTY_CONFIG, sites)
     out: dict = {}
     for probe in probes:
         if not probe.support <= window:
@@ -419,7 +410,7 @@ def rho_probe(
             out[probe] = 1.0
             continue
         free = [s for s in sites if s not in probe.support]
-        num = _sum_weights(field, window, boundary, probe, free, threads)
+        num = _sum_weights(field, window, boundary, probe, free)
         out[probe] = num / z
     return out
 

@@ -104,9 +104,10 @@ class OnePointField:
     """Evaluator contract for one-point transition energies.
 
     Subclasses provide :meth:`eval`; boundary sites farther than ``radius``
-    (Chebyshev) from the evaluation site must not affect the result.  All
-    fields in this package are translation invariant (``homogeneous``), and
-    norm scans exploit that by fixing a reference site at the origin.
+    (Chebyshev) from the evaluation site must not affect the result.  The
+    contraction constants and the solver's rows are evaluated at the origin,
+    so they refuse a field that is not translation invariant (``homogeneous``),
+    such as :class:`PerturbedField`.
     """
 
     spins: SpinSpace
@@ -276,6 +277,15 @@ class TripleInteractionField(OnePointField):
         return value + self.strength * (du - dx) * pairs
 
 
+def require_homogeneous(field: OnePointField) -> None:
+    """Refuse a field whose values at the origin do not stand for every site."""
+    if not field.homogeneous:
+        raise ModelDefinitionError(
+            "the contraction constants and operator rows need a "
+            "translation-invariant field"
+        )
+
+
 def pair_potential_field(
     potential: PairPotential,
     spins: SpinSpace,
@@ -351,6 +361,7 @@ def norm_delta1(field: OnePointField, scan_budget: int = NORM_SCAN_BUDGET) -> fl
     affordable; otherwise falls back to the exact decomposition a pair field
     provides.  Unbounded dependence without such a bound is an error.
     """
+    require_homogeneous(field)
     offsets = field.ball_offsets()
     count = field.spins.size ** len(offsets)
     if count > scan_budget:
@@ -360,24 +371,17 @@ def norm_delta1(field: OnePointField, scan_budget: int = NORM_SCAN_BUDGET) -> fl
             f"norm scan needs {count} boundary patterns (budget {scan_budget}) "
             "and the field provides no exact bound"
         )
-    if field.homogeneous:
-        scan_sites = [field.origin()]
-    else:
-        scan_sites = sorted(getattr(field, "scan_sites", []))
-        if not scan_sites:
-            raise ModelDefinitionError("inhomogeneous fields must declare scan_sites")
     spins = field.spins
     vac = spins.vacuum_index
+    t = field.origin()
     best = 0.0
-    for t in scan_sites:
-        sites = [tuple(a + o for a, o in zip(t, off)) for off in offsets]
-        for pattern in itertools.product(spins.indices, repeat=len(sites)):
-            boundary = {s: p for s, p in zip(sites, pattern) if p != vac}
-            for xs in spins.indices:
-                for us in spins.indices:
-                    if xs == us:
-                        continue
-                    best = max(best, abs(field.eval(t, boundary, xs, us)))
+    for pattern in itertools.product(spins.indices, repeat=len(offsets)):
+        boundary = {s: p for s, p in zip(offsets, pattern) if p != vac}
+        for xs in spins.indices:
+            for us in spins.indices:
+                if xs == us:
+                    continue
+                best = max(best, abs(field.eval(t, boundary, xs, us)))
     return best
 
 

@@ -32,6 +32,12 @@ from .fields import (
 )
 from .lattice import SpinSpace, Site
 
+# Every ball() around a site holds (2 * range + 1) ** dimension sites, and
+# the bounds and operator rows walk such balls, so the cost of a run grows
+# with the declared range, not with the couplings.  729 admits range 4 in
+# three dimensions, range 13 in two and range 2 in four.
+MAX_BALL_SITES = 729
+
 
 @dataclass(frozen=True)
 class Model:
@@ -158,6 +164,13 @@ def parse_model(text: str) -> Model:
         radius = int(value)
     except ValueError:
         raise ModelFileError(f"range must be an integer, got {value!r}", line_no)
+    if radius >= 0 and (2 * radius + 1) ** dimension > MAX_BALL_SITES:
+        raise ModelFileError(
+            f"range {radius} gives interaction balls of "
+            f"{(2 * radius + 1) ** dimension} sites in dimension {dimension}; "
+            f"the limit is {MAX_BALL_SITES}",
+            line_no,
+        )
 
     vacuum_flag = True
     if "vacuum_potential" in scalars:

@@ -1,14 +1,12 @@
-"""Deterministic block-parallel helpers.
+"""Deterministic block helpers.
 
 Work is split into blocks whose boundaries depend only on the input size,
-never on the thread count, and per-block results are combined in block
-order.  Thread count therefore affects scheduling only, and any reduction
+and per-block results are combined in block order, so any reduction
 performed inside or across blocks sees the same operand order every run.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -17,7 +15,7 @@ DEFAULT_BLOCK = 2048
 
 
 def block_ranges(n: int, block: int = DEFAULT_BLOCK) -> list[tuple[int, int]]:
-    """Fixed [start, stop) partition of range(n), independent of threads."""
+    """Fixed [start, stop) partition of range(n)."""
     if n <= 0:
         return []
     return [(i, min(i + block, n)) for i in range(0, n, block)]
@@ -28,9 +26,11 @@ def map_blocks(
     ranges: Sequence[tuple[int, int]],
     threads: int = 1,
 ) -> list[T]:
-    """Apply ``fn(start, stop)`` to each block, returning results in block
-    order."""
-    if threads <= 1 or len(ranges) <= 1:
-        return [fn(start, stop) for start, stop in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda r: fn(r[0], r[1]), ranges))
+    """Apply ``fn(start, stop)`` to each block in order on the calling
+    thread, returning results in block order.
+
+    ``threads`` is ignored.  The blocks are pure-Python loops that hold the
+    GIL, so a thread pool only added overhead; the parameter stays because
+    the counter in ``perfbench/tracing.py`` calls this function with three
+    arguments."""
+    return [fn(start, stop) for start, stop in ranges]

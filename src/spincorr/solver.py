@@ -34,11 +34,16 @@ from .errors import (
     DomainError,
     EnvironmentConditionError,
     GateNotCertifiedError,
-    ModelDefinitionError,
     SolverDivergenceError,
 )
-from .exact import rho_probe
-from .fields import FieldBounds, OnePointField, decay_sums, field_bounds
+from .exact import CorrelationTable, rho_probe
+from .fields import (
+    FieldBounds,
+    OnePointField,
+    decay_sums,
+    field_bounds,
+    require_homogeneous,
+)
 from .lattice import (
     DEFAULT_ENUM_BUDGET,
     Configuration,
@@ -60,21 +65,6 @@ PROFILE_SOLVER_LIMIT = 2 ** 10
 RATE_NOISE_FLOOR = 1e-11
 ENV_CHECK_INSTANCES = 300
 _ENV_CHECK_SEED = 20260816
-
-
-@dataclass(frozen=True)
-class SupportedFunction:
-    """Sparse function on non-vacuum configurations inside a window.
-
-    Entries are keyed by Configuration; lookups outside the stored domain
-    return 0.  k_max records the support-size cap of the domain."""
-
-    window: frozenset
-    k_max: int
-    table: Mapping[Configuration, float]
-
-    def value(self, config: Configuration) -> float:
-        return self.table.get(config, 0.0)
 
 
 def bstar_norm(table: Mapping[Configuration, float]) -> float:
@@ -131,6 +121,7 @@ class OperatorContext:
     ):
         if k_max < 1:
             raise DomainError("k_max must be >= 1")
+        require_homogeneous(field)
         self.field = field
         self.spins = field.spins
         self.window = frozenset(window)
@@ -176,10 +167,7 @@ class OperatorContext:
             for s, sp in rest.items
             if chebyshev_distance(s, t) <= field.radius
         )
-        if field.homogeneous:
-            key = tuple((_sub(s, t), sp) for s, sp in near)
-        else:
-            key = (t, near)
+        key = tuple((_sub(s, t), sp) for s, sp in near)
         got = self._weights_memo.get(key)
         if got is None:
             boundary = dict(near)
@@ -193,22 +181,14 @@ class OperatorContext:
 
     def kernel_factor(self, t: tuple, s: tuple, a: int, b: int) -> float:
         """exp{(energy of b at s with boundary a at t) - (free energy)} - 1."""
-        field = self.field
-        if field.homogeneous:
-            key = (_sub(t, s), a, b)
-        else:
-            key = (t, s, a, b)
+        key = (_sub(t, s), a, b)
         got = self._kfac_memo.get(key)
         if got is None:
+            field = self.field
+            origin = self._origin
             vac = self._vac
-            if field.homogeneous:
-                origin = self._origin
-                dt = key[0]
-                shifted = field.eval(origin, {dt: a}, b, vac)
-                free = field.eval(origin, {}, b, vac)
-            else:
-                shifted = field.eval(s, {t: a}, b, vac)
-                free = field.eval(s, {}, b, vac)
+            shifted = field.eval(origin, {key[0]: a}, b, vac)
+            free = field.eval(origin, {}, b, vac)
             got = math.exp(shifted - free) - 1.0
             self._kfac_memo[key] = got
         return got
@@ -266,7 +246,7 @@ class OperatorContext:
                         coeffs.append(-coeff)
         return free_term, keys, coeffs
 
-    def materialize(self, threads: int = 1) -> None:
+    def materialize(self) -> None:
         """Resolve all rows to domain indices.  References outside the
         domain become per-row dropped mass."""
         if self.rows is not None:
@@ -292,7 +272,7 @@ class OperatorContext:
             return out
 
         rows: list = []
-        for chunk in map_blocks(job, block_ranges(len(domain), 256), threads):
+        for chunk in map_blocks(job, block_ranges(len(domain), 256)):
             rows.extend(chunk)
         self.rows = rows
 
@@ -311,7 +291,7 @@ class OperatorContext:
             groups.setdefault(key, []).append(i)
         return list(groups.values())
 
-    def matvec(self, phi: Sequence[float], threads: int = 1) -> list:
+    def matvec(self, phi: Sequence[float]) -> list:
         """K applied to the coefficient vector phi (no free term)."""
         assert self.rows is not None
         rows = self.rows
@@ -324,7 +304,7 @@ class OperatorContext:
             return out
 
         result: list = []
-        for chunk in map_blocks(job, block_ranges(len(rows), 512), threads):
+        for chunk in map_blocks(job, block_ranges(len(rows), 512)):
             result.extend(chunk)
         return result
 
@@ -368,7 +348,7 @@ def _auto_max_iters(bound: float, tol: float, certified: bool) -> int:
     return FALLBACK_MAX_ITERS
 
 
-def _iterate(ctx: OperatorContext, tol: float, limit: int, threads: int) -> tuple:
+def _iterate(ctx: OperatorContext, tol: float, limit: int) -> tuple:
     free = ctx.free_vector()
     groups = ctx.support_groups()
 
@@ -383,7 +363,7 @@ def _iterate(ctx: OperatorContext, tol: float, limit: int, threads: int) -> tupl
     iterations = 0
     converged = False
     while iterations < limit:
-        image = ctx.matvec(phi, threads)
+        image = ctx.matvec(phi)
         new = [f + v for f, v in zip(free, image)]
         diff = [a - b for a, b in zip(new, phi)]
         update = group_norm(diff)
@@ -416,7 +396,7 @@ def _iterate(ctx: OperatorContext, tol: float, limit: int, threads: int) -> tupl
             iterations=limit,
         )
 
-    image = ctx.matvec(phi, threads)
+    image = ctx.matvec(phi)
     residual_vec = [p - f - v for p, f, v in zip(phi, free, image)]
     residual = group_norm(residual_vec)
     if residual > RESIDUAL_TOL:
@@ -472,17 +452,18 @@ def _solve(
     tol: float,
     method: str,
     override_gate: bool,
-    threads: int,
     notes: tuple,
 ) -> tuple:
     if method not in ("iterative", "direct", "both"):
         raise DomainError(f"unknown solve method {method!r}")
-    _environment_gate(field)
+    # the gate runs first: with a huge coupling, rounding in the field makes
+    # the identity check fail although the field satisfies it
     bounds = field_bounds(field)
     certified, overridden = _contraction_gate(bounds, override_gate)
+    _environment_gate(field)
     bound = bounds.contraction_lhs
     ctx = OperatorContext(field, window, k_max, restrict_to_window)
-    ctx.materialize(threads)
+    ctx.materialize()
     limit = _auto_max_iters(bound, tol, certified)
 
     direct_vec = None
@@ -495,7 +476,7 @@ def _solve(
     rate = 0.0
     if method in ("iterative", "both"):
         phi_vec, iterations, update_norm, residual, rate = _iterate(
-            ctx, tol, limit, threads
+            ctx, tol, limit
         )
 
     direct_deviation = None
@@ -515,7 +496,7 @@ def _solve(
 
     table = {config: v for config, v in zip(ctx.domain, values)}
     table[EMPTY_CONFIG] = 1.0
-    solution = SupportedFunction(window, ctx.k_max, table)
+    solution = CorrelationTable(window, table)
     report = SolveReport(
         method=method,
         unknowns=len(ctx.domain),
@@ -542,7 +523,6 @@ def solve_finite_volume(
     k_max: int | None = None,
     method: str = "iterative",
     override_gate: bool = False,
-    threads: int = 1,
 ) -> tuple:
     """Solve the window-projected correlation equation.
 
@@ -560,7 +540,6 @@ def solve_finite_volume(
         tol,
         method,
         override_gate,
-        threads,
         notes=("finite-volume",),
     )
     return solution, report
@@ -573,7 +552,6 @@ def solve_infinite_volume(
     k_max: int = 4,
     method: str = "iterative",
     override_gate: bool = False,
-    threads: int = 1,
 ) -> tuple:
     """Iterate the unprojected operator with reads confined to the window.
 
@@ -593,7 +571,6 @@ def solve_infinite_volume(
         tol,
         method,
         override_gate,
-        threads,
         notes=(
             "infinite-volume window iteration; trust values only for "
             "supports deep inside the window",
@@ -612,23 +589,12 @@ def solve_infinite_volume(
 def delta_norm(field: OnePointField) -> float:
     """Norm of the free term: per site, the total conditional weight of
     the non-vacuum spins with empty boundary."""
+    require_homogeneous(field)
     spins = field.spins
     vac = spins.vacuum_index
-    if field.homogeneous:
-        sites = [field.origin()]
-    else:
-        sites = getattr(field, "scan_sites", None)
-        if not sites:
-            raise ModelDefinitionError(
-                "delta_norm needs scan_sites for inhomogeneous fields"
-            )
-    best = 0.0
-    for t in sites:
-        s = math.fsum(
-            math.exp(field.eval(t, {}, a, vac)) for a in spins.star_indices
-        )
-        best = max(best, s / (1.0 + s))
-    return best
+    t = field.origin()
+    s = math.fsum(math.exp(field.eval(t, {}, a, vac)) for a in spins.star_indices)
+    return s / (1.0 + s)
 
 
 def tail_f_bound(
@@ -714,7 +680,6 @@ def convergence_profile(
     windows: Sequence[Iterable[tuple]],
     probes: Sequence[Configuration],
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
     override_gate: bool = False,
 ) -> ConvergenceSeries:
     """Deviation-vs-depth study: how fast window correlation values
@@ -746,7 +711,7 @@ def convergence_profile(
 
     reference = vols[-1]
     if spins.size ** len(reference) <= DEFAULT_ENUM_BUDGET:
-        ref_values = rho_probe(field, reference, probes, threads=threads)
+        ref_values = rho_probe(field, reference, probes)
         reference_method = "enumeration"
     else:
         k_max = max(4, max(len(p) for p in probes))
@@ -756,7 +721,6 @@ def convergence_profile(
             tol,
             k_max=k_max,
             override_gate=override_gate,
-            threads=threads,
         )
         ref_values = {p: sol.value(p) for p in probes}
         reference_method = "window-iteration"
@@ -775,14 +739,13 @@ def convergence_profile(
                 window,
                 tol,
                 override_gate=override_gate,
-                threads=threads,
             )
             values = {p: solution.value(p) for p in probes}
             iterations = report.iterations
             residual = report.residual_norm
             rates.append(report.empirical_contraction_rate)
         else:
-            values = rho_probe(field, window, probes, threads=threads)
+            values = rho_probe(field, window, probes)
             iterations = 0
             residual = 0.0
         deviation = max(abs(values[p] - ref_values[p]) for p in probes)

@@ -4,13 +4,28 @@ when those names move, or only the traced benchmark run would notice."""
 
 import pathlib
 
-PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+from spincorr import cli
+
+ROOT = pathlib.Path(__file__).parent.parent
+PERFBENCH = ROOT / "perfbench"
+MODEL = str(ROOT / "models" / "chain_gated.model")
+
+# one job per benchmark workload, at test size
+JOBS = [
+    ["exact", "--model", MODEL, "--window=0:2", "--threads", "2"],
+    ["solve", "--model", MODEL, "--window=0:3", "--method", "both"],
+]
 
 
-def test_tracer_and_counter_hooks_install_and_restore(monkeypatch):
+def import_tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
+    return tracing
+
+
+def test_tracer_and_counter_hooks_install_and_restore(monkeypatch):
+    tracing = import_tracing(monkeypatch)
     targets = [t for ts in tracing.SPAN_TARGETS.values() for t in ts]
     before = [owner.__dict__[attr] for owner, attr in targets]
     with tracing.Tracer().installed():
@@ -18,3 +33,34 @@ def test_tracer_and_counter_hooks_install_and_restore(monkeypatch):
     with tracing.Counter().installed():
         pass
     assert [owner.__dict__[attr] for owner, attr in targets] == before
+
+
+def test_counter_counts_real_jobs(monkeypatch, capsys):
+    tracing = import_tracing(monkeypatch)
+    for argv in JOBS:
+        counter = tracing.Counter()
+        with counter.installed():
+            assert cli.main(argv) == 0
+        assert counter.counts["parallel.blocks"] > 0
+        assert counter.counts["parallel.pool_blocks"] == 0
+        assert counter.counts["fields.eval_calls"] > 0
+    assert counter.counts["solver.iterations"] > 0
+
+
+def test_tracer_spans_real_jobs(monkeypatch, capsys):
+    tracing = import_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    for argv in JOBS:
+        with tracer.job_span():
+            assert cli.main(argv) == 0
+    names = {span[0] for span in tracer.spans}
+    assert {
+        "exact.enumerate",
+        "exact.oracle",
+        "solver.domain",
+        "solver.materialize",
+        "solver.matvec",
+        "solver.iterate",
+        "solver.direct",
+        "solver.certificate",
+    } <= names

@@ -24,17 +24,31 @@ def model(name: str) -> str:
     return str(MODELS / f"{name}.model")
 
 
-def huge_coupling_model(tmp_path, coupling: str) -> str:
+def write_model(tmp_path, text: str) -> str:
     path = tmp_path / "huge.model"
-    path.write_text(
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def huge_chain(coupling: str) -> str:
+    return (
         "dimension = 1\n"
         "spins = 0 1\n"
         "vacuum = 0\n"
         "range = 1\n"
-        f"coupling (1) 1 1 = {coupling}\n",
-        encoding="utf-8",
+        f"coupling (1) 1 1 = {coupling}\n"
     )
-    return str(path)
+
+
+# adding 1e300 loses the 0.7, so the identity check sees a residual of 0.7
+HUGE_BESIDE_ORDINARY = (
+    "dimension = 2\n"
+    "spins = 0 a\n"
+    "vacuum = 0\n"
+    "range = 1\n"
+    "coupling (-1,1) a a = 0.7\n"
+    "coupling (1,1) a a = 1e+300\n"
+)
 
 
 class TestVerifyCommand:
@@ -202,13 +216,17 @@ class TestSolveCommand:
         assert proc.returncode == 5
         assert "rate" in proc.stderr
 
-    @pytest.mark.parametrize("coupling", ["800", "1e300"])
-    def test_huge_coupling_is_exit_four(self, tmp_path, coupling):
+    @pytest.mark.parametrize(
+        "text,window",
+        [
+            pytest.param(huge_chain("800"), "0:3", id="800"),
+            pytest.param(huge_chain("1e300"), "0:3", id="1e300"),
+            pytest.param(HUGE_BESIDE_ORDINARY, "0,0:1,1", id="2d-1e300-beside-0.7"),
+        ],
+    )
+    def test_huge_coupling_is_exit_four(self, tmp_path, text, window):
         proc = run_cli(
-            "solve",
-            "--model",
-            huge_coupling_model(tmp_path, coupling),
-            "--window=0:3",
+            "solve", "--model", write_model(tmp_path, text), f"--window={window}"
         )
         assert proc.returncode == 4
         assert "Traceback" not in proc.stderr
@@ -263,7 +281,8 @@ class TestBoundsCommand:
 
     @pytest.mark.parametrize("coupling", ["800", "1e300"])
     def test_huge_coupling_saturates(self, tmp_path, coupling):
-        proc = run_cli("bounds", "--model", huge_coupling_model(tmp_path, coupling))
+        path = write_model(tmp_path, huge_chain(coupling))
+        proc = run_cli("bounds", "--model", path)
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "contraction_lhs = inf" in proc.stdout
@@ -303,6 +322,14 @@ class TestInputErrors:
             "exact", "--model", model("chain_gated"), "--window", "abc"
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["bounds"], ["solve", "--window=0:3"]], ids=["bounds", "solve"]
+    )
+    def test_inhomogeneous_field_is_exit_two(self, capsys, argv):
+        assert cli.main([*argv, "--model", model("perturbed")]) == 2
+        _, err = capsys.readouterr()
+        assert "need a translation-invariant field" in err
 
     def test_version(self):
         proc = run_cli("--version")

@@ -66,13 +66,6 @@ class TestPartitionFunction:
         z_ref = brute_force_partition(field, window, boundary, delta_volume)
         assert z == pytest.approx(z_ref, rel=1e-12)
 
-    def test_thread_count_does_not_change_value(self):
-        field = chain_field(0.2)
-        window = chain_window(7)
-        assert partition_function(field, window, threads=1) == partition_function(
-            field, window, threads=4
-        )
-
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             partition_function(chain_field(0.1), chain_window(30))

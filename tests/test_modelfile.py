@@ -14,6 +14,10 @@ coupling (1) 1 1 = 0.2
 """
 
 
+def ranged_model(dimension: int, radius: int) -> str:
+    return f"dimension = {dimension}\nspins = 0 1\nvacuum = 0\nrange = {radius}\n"
+
+
 class TestParse:
     def test_roundtrip(self):
         m = parse_model(BASE)
@@ -139,6 +143,14 @@ class TestErrors:
 
     def test_missing_key(self):
         self.expect("= 0\n" + BASE, "missing key", line=1)
+
+    @pytest.mark.parametrize("dimension,radius", [(4, 3), (4, 30), (2, 14), (1, 365)])
+    def test_range_beyond_ball_limit(self, dimension, radius):
+        self.expect(ranged_model(dimension, radius), "the limit is 729", line=4)
+
+    @pytest.mark.parametrize("dimension,radius", [(4, 2), (3, 4), (2, 13), (1, 364)])
+    def test_range_at_ball_limit(self, dimension, radius):
+        assert parse_model(ranged_model(dimension, radius)).field.radius == radius
 
     def test_line_numbers_reported(self):
         self.expect("dimension = 1\njunk\n", "key = value", line=2)

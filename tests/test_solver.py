@@ -28,7 +28,6 @@ from spincorr.fields import (
 from spincorr.lattice import enumerate_configs, split_min
 from spincorr.solver import (
     OperatorContext,
-    SupportedFunction,
     _direct_solve,
     bstar_norm,
     convergence_profile,
@@ -105,9 +104,8 @@ class TestNorms:
         assert bstar_norm({}) == 0.0
 
     def test_supported_function_lookup(self):
-        phi = SupportedFunction(
+        phi = CorrelationTable(
             W2,
-            2,
             {singleton((0,)): 0.5, config(((0,), 1), ((1,), 1)): 0.25},
         )
         assert phi.value(singleton((0,))) == 0.5
@@ -235,7 +233,7 @@ class TestSolveRoutes:
         window = chain_window(6)
         sol_i, _ = solve_finite_volume(field, window)
         sol_d, _ = solve_finite_volume(field, window, method="direct")
-        worst = max(abs(sol_i.value(c) - sol_d.value(c)) for c in sol_i.table)
+        worst = max(abs(sol_i.value(c) - sol_d.value(c)) for c in sol_i.values)
         assert worst <= 1e-11
 
     def test_both_reports_direct_deviation(self):
@@ -391,7 +389,7 @@ class TestCertificates:
         sol, report = solve_finite_volume(field, window, k_max=2)
         assert report.truncation_tail > 0.0
         worst = max(
-            abs(sol.value(c) - table.values[c]) for c in sol.table if 0 < len(c) <= 2
+            abs(sol.value(c) - table.values[c]) for c in sol.values if 0 < len(c) <= 2
         )
         assert worst <= report.truncation_tail + 1e-12
 
@@ -527,12 +525,5 @@ class TestDeterminism:
         window = chain_window(6)
         sol_a, rep_a = solve_finite_volume(field, window)
         sol_b, rep_b = solve_finite_volume(field, window)
-        assert sol_a.table == sol_b.table
+        assert sol_a.values == sol_b.values
         assert rep_a == rep_b
-
-    def test_thread_count_does_not_change_values(self):
-        field = chain_field(0.045)
-        window = chain_window(7)
-        sol_1, _ = solve_finite_volume(field, window, threads=1)
-        sol_4, _ = solve_finite_volume(field, window, threads=4)
-        assert sol_1.table == sol_4.table
