@@ -3,10 +3,11 @@
 Everything here is brute force on purpose: partition functions, Gibbs
 tables, and correlation functions are computed by walking every
 configuration of the window, and serve as ground truth for the solver.
-The enumeration walks configurations in a fixed mixed-radix order and
-updates the volume energy incrementally (one single-site transition per
-step), restarting from a full telescoping sum at every block boundary so
-rounding drift cannot accumulate across more than one block.
+The enumeration walks configurations in reflected Gray-code order, so
+each step changes one site and updates the volume energy by one
+single-site transition; it restarts from a full telescoping sum at every
+block boundary so rounding drift cannot accumulate across more than one
+block.
 
 The correlation-equation checker re-implements the equation it tests
 from its own loops (no code shared with the solver module).
@@ -59,13 +60,25 @@ def _guarded_exp(delta: float) -> float:
     return math.exp(delta)
 
 
-class _VolumeWalker:
-    """Mixed-radix odometer over the spins of `free_sites` inside `window`.
+def _exp_all(deltas: list) -> list:
+    """exp of every volume energy; refuses the block if any lies outside
+    the safe exponent range."""
+    if max(map(abs, deltas)) > MAX_SAFE_ENERGY:
+        _guarded_exp(max(deltas, key=abs))
+    return list(map(math.exp, deltas))
 
-    Tracks the full-volume energy Delta_window(current, vacuum) with the
-    external `boundary` and the frozen `fixed` part of the configuration.
-    `seek` recomputes the energy from scratch (telescoping); `advance`
-    applies single-site transition energies only.
+
+class _VolumeWalker:
+    """Reflected Gray-code walk over the spins of `free_sites` inside `window`.
+
+    Walk position i holds the i-th word of the reflected q-ary Gray code,
+    first free site most significant, so consecutive configurations differ
+    at exactly one site by one spin index.  Tracks the full-volume energy
+    Delta_window(current, vacuum) with the external `boundary` and the
+    frozen `fixed` part of the configuration, and `code`, the base-q
+    number the spin indices spell in site order.  `seek` recomputes the
+    energy from scratch (telescoping); `advance` applies one single-site
+    transition energy.
     """
 
     def __init__(
@@ -78,21 +91,35 @@ class _VolumeWalker:
     ):
         self.field = field
         self.window = window
-        self.window_sites = tuple(sorted(window))
         self.boundary = boundary
         self.fixed = fixed
         self.free_sites = tuple(free_sites)
         self.base = field.spins.size
         self.vacuum = field.spins.vacuum_index
-        self.digits = [0] * len(self.free_sites)
+        n = len(self.free_sites)
+        self.digits = [0] * n
+        self.steps = [1] * n
+        self.places = [self.base ** (n - 1 - pos) for pos in range(n)]
+        self.code = 0
         self.env: dict = {}
         self.delta = 0.0
 
     def seek(self, index: int) -> None:
-        base = self.base
+        """Jump to walk position `index`: each Gray digit is the plain
+        base-q digit, reflected when the Gray digits above it sum to an odd
+        number; a reflected digit walks downwards."""
+        top = self.base - 1
         digits = self.digits
         for pos in range(len(digits) - 1, -1, -1):
-            index, digits[pos] = divmod(index, base)
+            index, digits[pos] = divmod(index, self.base)
+        reflected = False
+        for pos, plain in enumerate(digits):
+            digit = top - plain if reflected else plain
+            digits[pos] = digit
+            self.steps[pos] = -1 if reflected else 1
+            if digit % 2:
+                reflected = not reflected
+        self.code = sum(d * p for d, p in zip(digits, self.places))
         vac = self.vacuum
         items = list(self.fixed.items)
         items.extend(
@@ -107,33 +134,34 @@ class _VolumeWalker:
         self.env = env
 
     def advance(self) -> bool:
-        """Step to the next configuration; False when the odometer wraps."""
+        """Step to the next configuration by moving the lowest digit that
+        can still move its way; the digits below it turn round.  False
+        after the last configuration."""
         digits = self.digits
-        env = self.env
-        eval_ = self.field.eval
-        vac = self.vacuum
+        steps = self.steps
         top = self.base - 1
-        for pos in range(len(digits) - 1, -1, -1):
-            old = digits[pos]
-            site = self.free_sites[pos]
-            if old != vac:
-                del env[site]
-            if old == top:
-                digits[pos] = 0
-                self.delta += eval_(site, env, 0, old)
-                if vac != 0:
-                    env[site] = 0
-                continue
-            new = old + 1
-            digits[pos] = new
-            self.delta += eval_(site, env, new, old)
-            if new != vac:
-                env[site] = new
-            return True
-        return False
-
-    def weight(self) -> float:
-        return _guarded_exp(self.delta)
+        pos = len(digits) - 1
+        while True:
+            if pos < 0:
+                return False
+            step = steps[pos]
+            new = digits[pos] + step
+            if 0 <= new <= top:
+                break
+            steps[pos] = -step
+            pos -= 1
+        old = digits[pos]
+        digits[pos] = new
+        self.code += step * self.places[pos]
+        site = self.free_sites[pos]
+        env = self.env
+        vac = self.vacuum
+        if old != vac:
+            del env[site]
+        self.delta += self.field.eval(site, env, new, old)
+        if new != vac:
+            env[site] = new
+        return True
 
     def support_items(self) -> tuple:
         vac = self.vacuum
@@ -157,11 +185,12 @@ def _sum_weights(
     def job(start: int, stop: int) -> float:
         walker = _VolumeWalker(field, window, boundary, fixed, free_sites)
         walker.seek(start)
-        weights = []
+        advance = walker.advance
+        deltas = []
         for _ in range(stop - start):
-            weights.append(walker.weight())
-            walker.advance()
-        return math.fsum(weights)
+            deltas.append(walker.delta)
+            advance()
+        return math.fsum(_exp_all(deltas))
 
     partials = map_blocks(job, block_ranges(total))
     return math.fsum(partials)
@@ -235,7 +264,7 @@ def gibbs_distribution(
         for _ in range(stop - start):
             key = walker.support_items()
             if weight_of is None:
-                entries.append((key, walker.weight()))
+                entries.append((key, _guarded_exp(walker.delta)))
             else:
                 entries.append((key, weight_of(Configuration._make(key))))
             walker.advance()
@@ -276,37 +305,48 @@ def _marginal_numerators(
     window: frozenset,
     boundary: Configuration,
 ) -> tuple:
-    """One pass over all configurations z; the weight of z contributes to
-    the numerator of every restriction of z to a subset of its support."""
+    """One pass over all configurations z fills their weights by `code`;
+    then each site axis of length q becomes an axis of length 1 + n_x: the
+    sum over the axis (site left free), then the slices at the non-vacuum
+    spins (site pinned).  Each entry of the result is the numerator of the
+    configuration it pins."""
     sites = sorted(window)
-    total = field.spins.size ** len(sites)
+    spins = field.spins
+    q = spins.size
+    weights = [0.0] * q ** len(sites)
 
-    def job(start: int, stop: int) -> tuple:
+    def job(start: int, stop: int) -> float:
         walker = _VolumeWalker(field, window, boundary, EMPTY_CONFIG, sites)
         walker.seek(start)
-        local: dict = {}
-        weights = []
+        advance = walker.advance
+        codes = []
+        deltas = []
         for _ in range(stop - start):
-            w = walker.weight()
-            weights.append(w)
-            items = walker.support_items()
-            for k in range(1, len(items) + 1):
-                for sub in combinations(items, k):
-                    if sub in local:
-                        local[sub] += w
-                    else:
-                        local[sub] = w
-            walker.advance()
-        return math.fsum(weights), local
+            codes.append(walker.code)
+            deltas.append(walker.delta)
+            advance()
+        block = _exp_all(deltas)
+        for code, w in zip(codes, block):
+            weights[code] = w
+        return math.fsum(block)
 
-    z_parts = []
-    partials: dict = {}
-    for z_part, local in map_blocks(job, block_ranges(total)):
-        z_parts.append(z_part)
-        for key, value in local.items():
-            partials.setdefault(key, []).append(value)
-    z = math.fsum(z_parts)
-    numerators = {key: math.fsum(parts) for key, parts in partials.items()}
+    z = math.fsum(map_blocks(job, block_ranges(len(weights))))
+
+    star = spins.star_indices
+    table = weights
+    keys = [()]
+    for pos, site in enumerate(sites):
+        stride = q ** (len(sites) - 1 - pos)
+        mapped = []
+        for lo in range(0, len(table), q * stride):
+            axis = [table[lo + b * stride : lo + (b + 1) * stride] for b in range(q)]
+            mapped.extend(map(math.fsum, zip(*axis)))
+            for b in star:
+                mapped.extend(axis[b])
+        table = mapped
+        pins = [()] + [((site, b),) for b in star]
+        keys = [key + pin for key in keys for pin in pins]
+    numerators = dict(zip(keys[1:], table[1:]))
     return z, numerators
 
 
@@ -543,7 +583,7 @@ def verify_correlation_equation(
             worst = residual
             witness = f"x={x!r} lhs={lhs!r} rhs={rhs!r}"
     return checks.CheckReport(
-        "correlation-equation", count, worst, witness, tolerance
+        "correlation-equation", count, worst, witness, tolerance, worst
     )
 
 

@@ -310,6 +310,18 @@ def delta_volume(
     sites already in their ``u`` state and later sites still in ``x``.
     The result is independent of the enumeration for consistent fields.
     """
+    return math.fsum(volume_steps(field, window, boundary, x, u, enumeration))
+
+
+def volume_steps(
+    field: OnePointField,
+    window: Iterable[Site],
+    boundary: Configuration,
+    x: Configuration,
+    u: Configuration,
+    enumeration: Sequence[Site] | None = None,
+) -> list[float]:
+    """The one-point swap energies that :func:`delta_volume` adds up."""
     sites = sorted(window)
     site_set = set(sites)
     if enumeration is None:
@@ -346,7 +358,7 @@ def delta_volume(
             del env[t]
         if i < last:
             env.pop(order[i + 1], None)
-    return math.fsum(steps)
+    return steps
 
 
 # ---------------------------------------------------------------------------

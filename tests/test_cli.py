@@ -1,10 +1,11 @@
+import math
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from spincorr import cli
+from spincorr import SpinSpace, cli, read_table
 
 ROOT = pathlib.Path(__file__).parent.parent
 MODELS = ROOT / "models"
@@ -40,7 +41,8 @@ def huge_chain(coupling: str) -> str:
     )
 
 
-# adding 1e300 loses the 0.7, so the identity check sees a residual of 0.7
+# adding 1e300 loses the 0.7, so the identity checks see a residual of 0.7,
+# inside the rounding allowance of terms near 1e300
 HUGE_BESIDE_ORDINARY = (
     "dimension = 2\n"
     "spins = 0 a\n"
@@ -67,6 +69,24 @@ class TestVerifyCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert "[pass]" in proc.stdout
+        assert "FAIL" not in proc.stdout
+
+    def test_fails_on_perturbed_model(self):
+        proc = run_cli(
+            "verify", "--model", model("perturbed"), "--instances", "300"
+        )
+        assert proc.returncode == 1
+        assert "one_point_consistency: instances=300 max_residual=2.000e-01" in proc.stdout
+        assert "[FAIL]" in proc.stdout
+        assert "beyond_rounding" not in proc.stdout
+        assert "witness[one_point_consistency]" in proc.stdout
+
+    def test_huge_coupling_rounding_passes(self, tmp_path):
+        proc = run_cli(
+            "verify", "--model", write_model(tmp_path, HUGE_BESIDE_ORDINARY)
+        )
+        assert proc.returncode == 0, proc.stdout
+        assert "max_residual=7.000e-01 beyond_rounding=0.000e+00" in proc.stdout
         assert "FAIL" not in proc.stdout
 
     def test_exhaustive_window(self):
@@ -230,6 +250,24 @@ class TestSolveCommand:
         )
         assert proc.returncode == 4
         assert "Traceback" not in proc.stderr
+
+    def test_huge_coupling_override_runs(self, tmp_path):
+        out = tmp_path / "table.csv"
+        proc = run_cli(
+            "solve",
+            "--model",
+            write_model(tmp_path, HUGE_BESIDE_ORDINARY),
+            "--override-gate",
+            "--window=0,0:1,1",
+            "--out",
+            str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "certified = false" in proc.stdout
+        values = read_table(str(out), SpinSpace(("0", "a"))).values
+        assert len(values) == 2**4
+        assert all(math.isfinite(v) for v in values.values())
 
     def test_budget_is_exit_three(self):
         proc = run_cli("solve", "--model", model("chain_gated"), "--window=0:24")

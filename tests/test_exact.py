@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -17,7 +18,14 @@ from spincorr import (
     verify_correlation_equation,
     write_table,
 )
-from spincorr.fields import TripleInteractionField, ZeroField, delta_volume
+from spincorr.exact import _VolumeWalker
+from spincorr.fields import (
+    OnePointField,
+    TripleInteractionField,
+    ZeroField,
+    delta_volume,
+)
+from spincorr.lattice import SpinSpace
 from spincorr.lattice import enumerate_configs
 
 from support import (
@@ -32,10 +40,110 @@ from support import (
 
 LN2 = math.log(2.0)
 WINDOW2 = ((0,), (1,))
+# three spins with the vacuum in the middle of the alphabet
+SPINS3_MID = SpinSpace(("a", "0", "b"), vacuum_index=1)
 
 
 def chain_window(n: int) -> tuple:
     return tuple((i,) for i in range(n))
+
+
+class CountingField(OnePointField):
+    """Delegates to a field and counts the eval calls."""
+
+    def __init__(self, base):
+        self.base = base
+        self.spins = base.spins
+        self.dimension = base.dimension
+        self.radius = base.radius
+        self.calls = 0
+
+    def eval(self, t, boundary, x, u):
+        self.calls += 1
+        return self.base.eval(t, boundary, x, u)
+
+
+WALKS = {
+    # spins, window, boundary, fixed sites -> spins, walk start
+    "q2-chain": (SPINS2, chain_window(6), EMPTY_CONFIG, {}, 0),
+    "q2-boundary-fixed": (
+        SPINS2,
+        chain_window(7),
+        config(((-1,), 1), ((7,), 1)),
+        {(3,): 1},
+        21,
+    ),
+    "q3-vacuum-mid-grid": (
+        SPINS3_MID,
+        tuple((i, j) for i in range(2) for j in range(3)),
+        config(((-1, 0), 2), ((2, 2), 0)),
+        {(0, 1): 2},
+        100,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKS))
+class TestVolumeWalker:
+    def setup_walk(self, name):
+        spins, window, boundary, fixed_spins, start = WALKS[name]
+        rng = random.Random(name)
+        base = random_pair_field(rng, len(window[0]), spins, 1, max_coupling=0.4)
+        field = CountingField(base)
+        fixed = Configuration(fixed_spins.items())
+        free = sorted(s for s in window if s not in fixed_spins)
+        walker = _VolumeWalker(field, frozenset(window), boundary, fixed, free)
+        return field, walker, start, spins.size ** len(free)
+
+    def walk(self, field, walker, start, total):
+        """(digits, support, delta) at each position from start to the end,
+        asserting one eval per step and the end of the walk."""
+        walker.seek(start)
+        seen = []
+        for position in range(start, total):
+            seen.append((tuple(walker.digits), walker.support_items(), walker.delta))
+            calls = field.calls
+            moved = walker.advance()
+            assert moved == (position < total - 1)
+            assert field.calls - calls == (1 if moved else 0)
+        return seen
+
+    def test_visits_each_configuration_once_by_single_site_steps(self, name):
+        field, walker, _, total = self.setup_walk(name)
+        seen = self.walk(field, walker, 0, total)
+        digits = [d for d, _, _ in seen]
+        assert len(set(digits)) == total
+        assert set(digits) == set(
+            itertools.product(range(walker.base), repeat=len(walker.free_sites))
+        )
+        for before, after in zip(digits, digits[1:]):
+            changed = [(a, b) for a, b in zip(before, after) if a != b]
+            assert len(changed) == 1
+            assert abs(changed[0][0] - changed[0][1]) == 1
+
+    def test_code_spells_the_digits(self, name):
+        field, walker, start, total = self.setup_walk(name)
+        walker.seek(start)
+        for _ in range(total - start):
+            expected = 0
+            for d in walker.digits:
+                expected = expected * walker.base + d
+            assert walker.code == expected
+            walker.advance()
+
+    def test_energy_tracks_telescoped_value(self, name):
+        field, walker, start, total = self.setup_walk(name)
+        for _, support, delta in self.walk(field, walker, start, total):
+            x = Configuration._make(support)
+            exact = delta_volume(field.base, walker.window, walker.boundary, x, EMPTY_CONFIG)
+            assert abs(delta - exact) <= 1e-12
+
+    def test_seek_resumes_the_walk(self, name):
+        field, walker, start, total = self.setup_walk(name)
+        full = self.walk(field, walker, 0, total)
+        resumed = self.walk(field, walker, start, total)
+        assert [d for d, _, _ in resumed] == [d for d, _, _ in full[start:]]
+        assert [s for _, s, _ in resumed] == [s for _, s, _ in full[start:]]
 
 
 class TestPartitionFunction:
@@ -142,6 +250,30 @@ class TestRhoExact:
         assert a.partition_value == pytest.approx(b.partition_value, rel=1e-13)
         worst = max(abs(a.values[c] - b.values[c]) for c in a.values)
         assert worst <= 1e-13
+
+    def test_routes_agree_across_blocks(self):
+        # 3**7 = 2187 configurations: the walk restarts at position 2048,
+        # inside the Gray sequence, on both routes.
+        rng = random.Random(17)
+        field = random_pair_field(rng, 2, SPINS3_MID, 1, max_coupling=0.3)
+        window = tuple((i, j) for i in range(3) for j in range(3))[:7]
+        boundary = config(((-1, 0), 0), ((1, 3), 2), ((3, 0), 0))
+        a = rho_exact(field, window, boundary=boundary, method="marginal")
+        b = rho_exact(field, window, boundary=boundary, method="extension")
+        assert len(a.values) == 3**7
+        assert set(a.values) == set(b.values)
+        assert a.partition_value == pytest.approx(b.partition_value, rel=1e-13)
+        worst = max(abs(a.values[c] - b.values[c]) for c in a.values)
+        assert worst <= 1e-13
+        probes = [
+            EMPTY_CONFIG,
+            config(((0, 0), 0)),
+            config(((0, 1), 2), ((2, 0), 0)),
+            config(((0, 0), 2), ((1, 1), 2), ((2, 0), 2)),
+        ]
+        got = rho_probe(field, window, probes, boundary=boundary)
+        for probe in probes:
+            assert got[probe] == pytest.approx(a.value(probe), abs=1e-13)
 
     def test_table_covers_every_configuration(self):
         window = chain_window(3)

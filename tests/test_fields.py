@@ -119,6 +119,42 @@ class TestIdentities:
         eplan = environment_plan_random(field, rng, 300)
         assert check_environment_condition(field, eplan).passed
 
+    def test_rounding_of_huge_terms_is_not_a_failure(self):
+        # Beside a coupling of 1e300 the 0.7 coupling is lost to rounding:
+        # every identity misses by 0.7, far inside its rounding allowance.
+        spins = SpinSpace(("0", "a"))
+        pot = PairPotential.create(
+            2, 1, {((-1, 1), 1, 1): 0.7, ((1, 1), 1, 1): 1e300}, spins
+        )
+        field = pair_potential_field(pot, spins)
+        rng = random.Random(5)
+        for report in (
+            check_field_consistency(field, field_plan_random(field, rng, 300)),
+            check_environment_condition(
+                field, environment_plan_random(field, rng, 300)
+            ),
+        ):
+            assert report.max_residual == pytest.approx(0.7)
+            assert report.beyond_rounding == 0.0
+            assert report.passed, report.summary()
+            assert "beyond_rounding=0.000e+00" in report.summary()
+
+    def test_non_finite_values_fail(self):
+        class NanField(ZeroField):
+            def eval(self, t, boundary, x, u):
+                return math.nan if x != u else 0.0
+
+        field = NanField(SPINS2)
+        rng = random.Random(5)
+        for report in (
+            check_one_point_consistency(field, one_point_plan_random(field, rng, 20)),
+            check_field_consistency(field, field_plan_random(field, rng, 20)),
+            check_environment_condition(field, environment_plan_random(field, rng, 20)),
+        ):
+            assert not report.passed
+            assert report.max_residual == math.inf
+            assert report.witness
+
     def test_exhaustive_plan_small_window(self):
         field = chain_field(0.2)
         plan = one_point_plan_exhaustive(field, [(0,), (1,), (2,)])
