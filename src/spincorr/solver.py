@@ -40,6 +40,7 @@ from .exact import CorrelationTable, rho_probe
 from .fields import (
     FieldBounds,
     OnePointField,
+    _exp,
     decay_sums,
     field_bounds,
     require_homogeneous,
@@ -67,6 +68,15 @@ ENV_CHECK_INSTANCES = 300
 _ENV_CHECK_SEED = 20260816
 
 
+def _fsum(terms: Sequence[float]) -> float:
+    """math.fsum, or the plain sum (inf or nan) where fsum raises on the
+    overflow or inf - inf that huge couplings under the override produce."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return sum(terms)
+
+
 def bstar_norm(table: Mapping[Configuration, float]) -> float:
     """Sequence-space norm: the largest per-support sum of absolute values.
 
@@ -77,7 +87,7 @@ def bstar_norm(table: Mapping[Configuration, float]) -> float:
             continue
         key = tuple(site for site, _ in config.items)
         groups.setdefault(key, []).append(abs(value))
-    return max((math.fsum(vs) for vs in groups.values()), default=0.0)
+    return max((_fsum(vs) for vs in groups.values()), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -106,11 +116,13 @@ class OperatorContext:
     """Materialized operator rows over an explicit configuration domain.
 
     The domain lists every non-vacuum configuration with support inside
-    the window and support size at most k_max, in a fixed order.  Each row
-    stores the free term, the referenced domain indices with coefficients,
-    and the absolute mass of references that fall outside the domain
-    (those reads are 0 during iteration; the mass feeds the truncation
-    certificate)."""
+    the window and support size at most k_max, in a fixed order that keeps
+    each support's configurations together (from ``group_starts`` on).
+    Each row stores the free term, the referenced domain indices with
+    coefficients, and the absolute mass of references that fall outside
+    the domain (those reads are 0 during iteration; the mass feeds the
+    truncation certificate); both solve routes read the flat arrays
+    ``materialize`` makes of them."""
 
     def __init__(
         self,
@@ -145,7 +157,7 @@ class OperatorContext:
                 required=count,
                 budget=MAX_UNKNOWNS,
             )
-        self.domain = self._build_domain()
+        self.domain, self.group_starts = self._build_domain()
         self.index = {config: i for i, config in enumerate(self.domain)}
         self.rows: list | None = None
 
@@ -153,11 +165,13 @@ class OperatorContext:
         sites = sorted(self.window)
         star = self._star
         out = []
+        starts = []
         for k in range(1, self.k_max + 1):
             for support in combinations(sites, k):
+                starts.append(len(out))
                 for assignment in product(star, repeat=k):
                     out.append(Configuration._make(tuple(zip(support, assignment))))
-        return tuple(out)
+        return tuple(out), starts
 
     def _gamma_weights(self, t: tuple, rest: Configuration) -> tuple:
         """(denominator, weights-by-star-spin) for boundary rest at site t."""
@@ -173,9 +187,9 @@ class OperatorContext:
             boundary = dict(near)
             vac = self._vac
             weights = tuple(
-                math.exp(field.eval(t, boundary, a, vac)) for a in self._star
+                _exp(field.eval(t, boundary, a, vac)) for a in self._star
             )
-            got = (1.0 + math.fsum(weights), weights)
+            got = (1.0 + _fsum(weights), weights)
             self._weights_memo[key] = got
         return got
 
@@ -189,7 +203,7 @@ class OperatorContext:
             vac = self._vac
             shifted = field.eval(origin, {key[0]: a}, b, vac)
             free = field.eval(origin, {}, b, vac)
-            got = math.exp(shifted - free) - 1.0
+            got = _exp(shifted - free) - 1.0
             self._kfac_memo[key] = got
         return got
 
@@ -230,8 +244,8 @@ class OperatorContext:
                                 break
                         k_by_spin.append(prod_a)
                     k_x = k_by_spin[star.index(x_t)]
-                    kappa = k_x * weight_sum - math.fsum(
-                        w * ka for w, ka in zip(weights, k_by_spin)
+                    kappa = k_x * weight_sum - _fsum(
+                        [w * ka for w, ka in zip(weights, k_by_spin)]
                     )
                     coeff = gamma_x * kappa
                     if coeff == 0.0:
@@ -247,10 +261,12 @@ class OperatorContext:
         return free_term, keys, coeffs
 
     def materialize(self) -> None:
-        """Resolve all rows to domain indices.  References outside the
-        domain become per-row dropped mass."""
+        """Resolve all rows to domain indices and flatten them into arrays.
+        References outside the domain become per-row dropped mass."""
         if self.rows is not None:
             return
+        import numpy
+
         domain = self.domain
         index = self.index
 
@@ -275,6 +291,12 @@ class OperatorContext:
         for chunk in map_blocks(job, block_ranges(len(domain), 256)):
             rows.extend(chunk)
         self.rows = rows
+        self.free = numpy.array([row[0] for row in rows], float)
+        lengths = [len(row[1]) for row in rows]
+        self.row_ids = numpy.repeat(numpy.arange(len(rows)), lengths)
+        self.indices = numpy.fromiter(chain.from_iterable(row[1] for row in rows), int)
+        self.data = numpy.fromiter(chain.from_iterable(row[2] for row in rows), float)
+        self.group_starts = numpy.asarray(self.group_starts)
 
     def dropped_bstar(self) -> float:
         """Largest per-support sum of dropped reference mass; feeds the
@@ -284,33 +306,18 @@ class OperatorContext:
             {x: row[3] for x, row in zip(self.domain, self.rows) if row[3] != 0.0}
         )
 
-    def support_groups(self) -> list:
-        groups: dict = {}
-        for i, config in enumerate(self.domain):
-            key = tuple(site for site, _ in config.items)
-            groups.setdefault(key, []).append(i)
-        return list(groups.values())
+    def matvec(self, phi):
+        """K phi (no free term) as a numpy array; empty rows give exactly 0."""
+        import numpy
 
-    def matvec(self, phi: Sequence[float]) -> list:
-        """K applied to the coefficient vector phi (no free term)."""
-        assert self.rows is not None
-        rows = self.rows
+        terms = self.data * numpy.asarray(phi, float)[self.indices]
+        return numpy.bincount(self.row_ids, weights=terms, minlength=len(self.free))
 
-        def job(start: int, stop: int) -> list:
-            out = []
-            for i in range(start, stop):
-                _, idxs, coeffs, _ = rows[i]
-                out.append(math.fsum([c * phi[j] for c, j in zip(coeffs, idxs)]))
-            return out
+    def group_norm(self, vec) -> float:
+        """bstar_norm of a domain vector: the largest per-support sum of |v|."""
+        import numpy
 
-        result: list = []
-        for chunk in map_blocks(job, block_ranges(len(rows), 512)):
-            result.extend(chunk)
-        return result
-
-    def free_vector(self) -> list:
-        assert self.rows is not None
-        return [row[0] for row in self.rows]
+        return float(numpy.add.reduceat(numpy.abs(vec), self.group_starts).max())
 
 
 def _environment_gate(field: OnePointField, instances: int = ENV_CHECK_INSTANCES) -> None:
@@ -349,43 +356,43 @@ def _auto_max_iters(bound: float, tol: float, certified: bool) -> int:
 
 
 def _iterate(ctx: OperatorContext, tol: float, limit: int) -> tuple:
-    free = ctx.free_vector()
-    groups = ctx.support_groups()
+    import numpy
 
-    def group_norm(vec: Sequence[float]) -> float:
-        return max(
-            (math.fsum([abs(vec[i]) for i in idxs]) for idxs in groups),
-            default=0.0,
-        )
-
-    phi = list(free)
+    free = ctx.free
+    phi = free
     updates: list = []
     iterations = 0
     converged = False
-    while iterations < limit:
-        image = ctx.matvec(phi)
-        new = [f + v for f, v in zip(free, image)]
-        diff = [a - b for a, b in zip(new, phi)]
-        update = group_norm(diff)
-        phi = new
-        iterations += 1
-        updates.append(update)
-        if update <= tol:
-            converged = True
-            break
-        if update > 1e12 or (
-            len(updates) >= 4
-            and updates[-1] > updates[-2] > updates[-3] > updates[-4]
-            and updates[-1] > 100.0 * updates[0]
-            and updates[-1] > 1e-6
-        ):
-            rate = updates[-1] / updates[-2] if len(updates) > 1 else math.inf
-            raise SolverDivergenceError(
-                f"update norms are growing ({update!r} after {iterations} "
-                "iterations); the iteration does not contract here",
-                rate=rate,
-                iterations=iterations,
-            )
+    # non-finite rows (huge couplings, override) end in the checks, not in warnings
+    with numpy.errstate(invalid="ignore", over="ignore"):
+        while iterations < limit:
+            new = free + ctx.matvec(phi)
+            update = ctx.group_norm(new - phi)
+            phi = new
+            iterations += 1
+            updates.append(update)
+            if update <= tol:
+                converged = True
+                break
+            if update > 1e12 or (
+                len(updates) >= 4
+                and updates[-1] > updates[-2] > updates[-3] > updates[-4]
+                and updates[-1] > 100.0 * updates[0]
+                and updates[-1] > 1e-6
+            ):
+                rate = updates[-1] / updates[-2] if len(updates) > 1 else math.inf
+                raise SolverDivergenceError(
+                    f"update norms are growing ({update!r} after {iterations} "
+                    "iterations); the iteration does not contract here",
+                    rate=rate,
+                    iterations=iterations,
+                )
+            if math.isnan(update):
+                raise SolverDivergenceError(
+                    f"update norm is nan after {iterations} iterations",
+                    rate=math.inf,
+                    iterations=iterations,
+                )
 
     if not converged:
         rate = updates[-1] / updates[-2] if len(updates) > 1 else math.inf
@@ -396,9 +403,7 @@ def _iterate(ctx: OperatorContext, tol: float, limit: int) -> tuple:
             iterations=limit,
         )
 
-    image = ctx.matvec(phi)
-    residual_vec = [p - f - v for p, f, v in zip(phi, free, image)]
-    residual = group_norm(residual_vec)
+    residual = ctx.group_norm(phi - free - ctx.matvec(phi))
     if residual > RESIDUAL_TOL:
         raise SolverDivergenceError(
             f"converged updates but residual {residual!r} exceeds "
@@ -411,26 +416,21 @@ def _iterate(ctx: OperatorContext, tol: float, limit: int) -> tuple:
     for prev, cur in zip(updates, updates[1:]):
         if prev >= RATE_NOISE_FLOOR:
             rate = max(rate, cur / prev)
-    return phi, iterations, updates[-1] if updates else 0.0, residual, rate
+    return phi.tolist(), iterations, updates[-1] if updates else 0.0, residual, rate
 
 
 def _direct_solve(ctx: OperatorContext) -> list:
-    """Solve (I - K) rho = free by sparse LU on the materialized rows."""
+    """Solve (I - K) rho = free by sparse LU on the materialized arrays."""
     import numpy
     from scipy.sparse import csr_matrix, identity
     from scipy.sparse.linalg import splu
 
     assert ctx.rows is not None
     n = len(ctx.domain)
-    indptr = numpy.cumsum([0] + [len(row[1]) for row in ctx.rows])
-    indices = numpy.fromiter(
-        chain.from_iterable(row[1] for row in ctx.rows), numpy.int64
-    )
-    data = numpy.fromiter(chain.from_iterable(row[2] for row in ctx.rows), float)
-    kernel = csr_matrix((data, indices, indptr), shape=(n, n))
+    kernel = csr_matrix((ctx.data, (ctx.row_ids, ctx.indices)), shape=(n, n))
     system = (identity(n, format="csc") - kernel).tocsc()
     try:
-        solution = splu(system).solve(numpy.array(ctx.free_vector()))
+        solution = splu(system).solve(ctx.free)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SolverDivergenceError(
             f"direct linear solve failed: {exc}", rate=math.inf, iterations=0

@@ -1,5 +1,6 @@
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -50,6 +51,22 @@ HUGE_BESIDE_ORDINARY = (
     "range = 1\n"
     "coupling (-1,1) a a = 0.7\n"
     "coupling (1,1) a a = 1e+300\n"
+)
+
+# kernel factors exp(+-1e300) - 1 are inf and -1: the iteration meets nan
+HUGE_OF_BOTH_SIGNS = HUGE_BESIDE_ORDINARY + "coupling (1,0) a a = -1e+300\n"
+
+# weights and kernel products of both signs overflow, so the kappa sum of
+# a row meets inf - inf
+THREE_SPIN_OVERFLOW = (
+    "dimension = 1\n"
+    "spins = 0 a b\n"
+    "vacuum = 0\n"
+    "range = 1\n"
+    "coupling (1) a a = 800\n"
+    "coupling (1) a b = -800\n"
+    "coupling (1) b a = -800\n"
+    "coupling (1) b b = -800\n"
 )
 
 
@@ -269,6 +286,37 @@ class TestSolveCommand:
         assert len(values) == 2**4
         assert all(math.isfinite(v) for v in values.values())
 
+    @pytest.mark.parametrize("method", ["iterative", "direct"])
+    @pytest.mark.parametrize(
+        "text,window",
+        [
+            pytest.param(huge_chain("-800"), "0:3", id="-800"),
+            pytest.param(HUGE_OF_BOTH_SIGNS, "0,0:1,1", id="2d-1e300-both-signs"),
+            pytest.param(THREE_SPIN_OVERFLOW, "0:2", id="3-spin-inf-minus-inf"),
+        ],
+    )
+    def test_overflowing_operator_under_override_is_exit_five(
+        self, tmp_path, text, window, method
+    ):
+        # the exp of a huge kernel energy saturates to inf; the rows then
+        # hold non-finite entries and both routes report a divergence
+        proc = run_cli(
+            "solve",
+            "--model",
+            write_model(tmp_path, text),
+            f"--window={window}",
+            "--override-gate",
+            "--method",
+            method,
+        )
+        assert proc.returncode == 5, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        # the iteration stops at the first non-finite update norm rather
+        # than running out its iteration limit
+        iterations = re.search(r"after (\d+) iterations\)$", proc.stderr.strip())
+        assert int(iterations.group(1)) <= 1
+
     def test_budget_is_exit_three(self):
         proc = run_cli("solve", "--model", model("chain_gated"), "--window=0:24")
         assert proc.returncode == 3
@@ -373,6 +421,40 @@ class TestInputErrors:
         proc = run_cli("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"
+
+
+def loaded_after(code: str) -> str:
+    """Run code in a fresh interpreter; the last stdout line lists which of
+    numpy and scipy it left in sys.modules."""
+    code += "\nprint([m for m in ('numpy', 'scipy') if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + code],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+class TestImportCost:
+    """numpy loads only when a solve runs, scipy only on the direct route."""
+
+    def test_cli_import_loads_neither(self):
+        assert loaded_after("import spincorr.cli") == "[]"
+
+    @pytest.mark.parametrize(
+        "method,loaded",
+        [("iterative", "['numpy']"), ("direct", "['numpy', 'scipy']")],
+    )
+    def test_solve_loads_only_what_its_route_needs(self, method, loaded):
+        argv = ["solve", "--model", model("chain_gated"), "--window=0:3"]
+        code = (
+            "from spincorr import cli\n"
+            f"assert cli.main({argv + ['--method', method]!r}) == 0"
+        )
+        assert loaded_after(code) == loaded
 
 
 class TestDeterminism:

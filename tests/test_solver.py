@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 
+import numpy
 import pytest
 
 from spincorr import (
@@ -39,7 +40,15 @@ from spincorr.solver import (
     write_series,
 )
 
-from support import SPINS2, SPINS3, chain_field, config, random_pair_field, singleton
+from support import (
+    SPINS2,
+    SPINS3,
+    chain_field,
+    config,
+    grid_field,
+    random_pair_field,
+    singleton,
+)
 
 ROOT = pathlib.Path(__file__).parent.parent
 LN2 = math.log(2.0)
@@ -71,7 +80,7 @@ def assert_rows_match_oracle(rng, field, window: tuple) -> None:
     ctx.materialize()
     assert len(ctx.domain) == len(values) - 1
     image = ctx.matvec([values[x] for x in ctx.domain])
-    free = ctx.free_vector()
+    free = ctx.free
     cache: dict = {}
     for i, x in enumerate(ctx.domain):
         got = free[i] + image[i]
@@ -209,9 +218,77 @@ class TestOperatorApplication:
         phi = [table.values[x] for x in ctx.domain]
         image = ctx.matvec(phi)
         worst = max(
-            abs(p - (f + v)) for p, f, v in zip(phi, ctx.free_vector(), image)
+            abs(p - (f + v)) for p, f, v in zip(phi, ctx.free, image)
         )
         assert worst <= 1e-12
+
+
+class TestOperatorArrays:
+    """The flat arrays materialize builds and the matvec and group norm
+    read from them."""
+
+    @staticmethod
+    def assert_matvec_matches_rows(ctx, phi) -> int:
+        """matvec against a per-row fsum over ctx.rows; returns the number
+        of rows without in-domain references (their image must be 0)."""
+        image = ctx.matvec(phi)
+        empty = 0
+        for i, (_, idxs, coeffs, _) in enumerate(ctx.rows):
+            want = math.fsum(c * phi[j] for c, j in zip(coeffs, idxs))
+            if not idxs:
+                empty += 1
+                assert image[i] == 0.0
+            assert image[i] == pytest.approx(want, rel=1e-15, abs=1e-15)
+        return empty
+
+    def test_rows_without_references_give_zero(self):
+        # zero field: singleton rows reference nothing, larger rows their
+        # remainder, so the empty rows lead the domain
+        ctx = OperatorContext(ZeroField(SPINS2), frozenset(chain_window(4)), 4)
+        ctx.materialize()
+        rng = random.Random(1)
+        phi = [rng.uniform(0.5, 1.0) for _ in ctx.domain]
+        assert self.assert_matvec_matches_rows(ctx, phi) == 4
+
+    def test_kmax_one_window_iteration_of_zero_field_has_only_empty_rows(self):
+        window = frozenset(chain_window(5))
+        ctx = OperatorContext(ZeroField(SPINS3), window, 1, restrict_to_window=False)
+        ctx.materialize()
+        rng = random.Random(2)
+        phi = [rng.uniform(0.5, 1.0) for _ in ctx.domain]
+        assert self.assert_matvec_matches_rows(ctx, phi) == len(ctx.domain)
+        sol, report = solve_infinite_volume(ZeroField(SPINS3), window, k_max=1)
+        assert report.iterations == 1
+        assert [sol.value(x) for x in ctx.domain] == ctx.free.tolist()
+
+    def test_matvec_matches_rows_three_spins(self):
+        rng = random.Random(3)
+        field = random_pair_field(rng, 1, SPINS3, 1, max_coupling=0.4)
+        ctx = OperatorContext(field, frozenset(chain_window(4)), 4)
+        ctx.materialize()
+        phi = [rng.uniform(-1.0, 1.0) for _ in ctx.domain]
+        assert self.assert_matvec_matches_rows(ctx, phi) == 0
+
+    def test_support_groups_and_group_norm_on_grid(self):
+        window = frozenset((i, j) for i in range(3) for j in range(3))
+        ctx = OperatorContext(
+            grid_field(0.05, SPINS3), window, 2, restrict_to_window=False
+        )
+        ctx.materialize()
+        starts = ctx.group_starts.tolist() + [len(ctx.domain)]
+        assert starts[0] == 0
+        supports = []
+        for start, stop in zip(starts, starts[1:]):
+            block = {x.support for x in ctx.domain[start:stop]}
+            assert len(block) == 1
+            supports.append(block.pop())
+        assert len(set(supports)) == len(supports)
+        assert len(supports) == 9 + math.comb(9, 2)
+        rng = random.Random(4)
+        for _ in range(20):
+            vec = [rng.uniform(-1.0, 1.0) for _ in ctx.domain]
+            want = bstar_norm(dict(zip(ctx.domain, vec)))
+            assert ctx.group_norm(vec) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestSolveRoutes:
@@ -253,8 +330,13 @@ class TestSolveRoutes:
     def test_direct_singular_system_is_divergence(self):
         ctx = OperatorContext(chain_field(0.045), frozenset(chain_window(3)), 3)
         ctx.materialize()
-        # rho(x) = free + rho(x) makes row 0 of I - K vanish
-        ctx.rows[0] = (1.0, (0,), (1.0,), 0.0)
+        # K whose only entry is K[0, 0] = 1: rho(x) = free + rho(x) makes
+        # row 0 of I - K vanish
+        ctx.row_ids, ctx.indices, ctx.data = (
+            numpy.array([0]),
+            numpy.array([0]),
+            numpy.array([1.0]),
+        )
         with pytest.raises(SolverDivergenceError) as err:
             _direct_solve(ctx)
         assert err.value.iterations == 0
@@ -262,8 +344,7 @@ class TestSolveRoutes:
     def test_direct_non_finite_solution_is_divergence(self):
         ctx = OperatorContext(chain_field(0.045), frozenset(chain_window(3)), 3)
         ctx.materialize()
-        _, idxs, coeffs, dropped = ctx.rows[0]
-        ctx.rows[0] = (math.inf, idxs, coeffs, dropped)
+        ctx.free[0] = math.inf
         with pytest.raises(SolverDivergenceError):
             _direct_solve(ctx)
 
