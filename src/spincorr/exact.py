@@ -608,8 +608,9 @@ def write_table(
     row with empty support and spins fields.
     """
     lines = []
+    texts = {s: _site_text(s) for s in table.window}
     merged = dict(headers or {})
-    merged["window"] = ";".join(_site_text(s) for s in sorted(table.window))
+    merged["window"] = ";".join(texts[s] for s in sorted(table.window))
     merged["spins"] = " ".join(spins.symbols)
     merged["vacuum"] = spins.symbols[spins.vacuum_index]
     if table.partition_value is not None:
@@ -617,9 +618,14 @@ def write_table(
     for key, value in merged.items():
         lines.append(f"# {key} = {value}")
     lines.append("support,spins,value")
+    symbols = spins.symbols
     for config, value in table.sorted_items():
-        sites = ";".join(_site_text(s) for s, _ in config.items)
-        labels = ";".join(spins.label(i) for _, i in config.items)
+        items = config.items
+        try:
+            sites = ";".join([texts[s] for s, _ in items])
+        except KeyError:  # a read table may hold supports beyond its window
+            sites = ";".join([_site_text(s) for s, _ in items])
+        labels = ";".join([symbols[i] for _, i in items])
         lines.append(f"{sites},{labels},{value!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -158,7 +158,6 @@ class OperatorContext:
                 budget=MAX_UNKNOWNS,
             )
         self.domain, self.group_starts = self._build_domain()
-        self.index = {config: i for i, config in enumerate(self.domain)}
         self.rows: list | None = None
 
     def _build_domain(self) -> tuple:
@@ -262,29 +261,87 @@ class OperatorContext:
 
     def materialize(self) -> None:
         """Resolve all rows to domain indices and flatten them into arrays.
-        References outside the domain become per-row dropped mass."""
+        References outside the domain become per-row dropped mass.
+
+        Under a homogeneous field a row depends on x only through its
+        shape: the spin x_t at the minimal site t, the remainder's (offset,
+        spin) pairs inside the ball around t, the window clip of that ball
+        (with them, it fixes the candidate sites) and whether x has more
+        sites than t.  ``row`` builds each shape once; the other entries of
+        that shape are stamped from it by integer codes.  A configuration's
+        code sums (1 + star position of the spin) * base**rank(site) over
+        the sorted window, so a key's code is the remainder's code plus the
+        code of the key's other sites moved to t.  Such a key is in the
+        domain exactly when those sites lie in the window and it has at
+        most k_max sites, so t and the entry's size fix which keys drop."""
         if self.rows is not None:
             return
         import numpy
 
         domain = self.domain
-        index = self.index
+        k_max = self.k_max
+        base = len(self._star) + 1
+        digit = {a: i + 1 for i, a in enumerate(self._star)}
+        place = {s: base ** i for i, s in enumerate(sorted(self.window))}
+        codes = [sum(digit[sp] * place[s] for s, sp in x.items) for x in domain]
+        code_index = {code: i for i, code in enumerate(codes)}
+        site_shapes: dict = {}  # t -> (window sites in its ball -> offset, clip)
+        for t in self.window:
+            near = {s: _sub(s, t) for s in ball(t, self.radius) & self.window}
+            del near[t]
+            clip = frozenset(near.values()) if self.restrict_to_window else None
+            site_shapes[t] = (near, clip)
+        templates: dict = {}  # shape -> (free_term, coeffs, extras, stamps)
+
+        def template(x: Configuration) -> tuple:
+            free_term, keys, coeffs = self.row(x)
+            t = x.items[0][0]
+            rest = x.mapping.keys() - {t}
+            extras = [
+                tuple((_sub(s, t), sp) for s, sp in key.items if s not in rest)
+                for key in keys
+            ]
+            return free_term, coeffs, extras, {}
+
+        def stamp(coeffs: list, extras: list, t: tuple, size: int) -> tuple:
+            """(code of each kept key's template sites placed at t, the kept
+            coefficients, dropped mass) for entries of `size` sites."""
+            deltas = []
+            kept = []
+            dropped = 0.0
+            for extra, coeff in zip(extras, coeffs):
+                at = [place.get(tuple(a + b for a, b in zip(t, off))) for off, _ in extra]
+                if size - 1 + len(extra) > k_max or None in at:
+                    dropped += abs(coeff)
+                else:
+                    deltas.append(sum(digit[sp] * p for (_, sp), p in zip(extra, at)))
+                    kept.append(coeff)
+            return deltas, tuple(kept), dropped
 
         def job(start: int, stop: int) -> list:
             out = []
             for i in range(start, stop):
-                free_term, keys, coeffs = self.row(domain[i])
-                idxs = []
-                kept = []
-                dropped = 0.0
-                for key, coeff in zip(keys, coeffs):
-                    j = index.get(key)
-                    if j is None:
-                        dropped += abs(coeff)
-                    else:
-                        idxs.append(j)
-                        kept.append(coeff)
-                out.append((free_term, tuple(idxs), tuple(kept), dropped))
+                items = domain[i].items
+                t, x_t = items[0]
+                near, clip = site_shapes[t]
+                size = len(items)
+                shape = (
+                    x_t,
+                    tuple([(near[s], sp) for s, sp in items[1:] if s in near]),
+                    clip,
+                    size > 1,
+                )
+                got = templates.get(shape)
+                if got is None:
+                    got = templates[shape] = template(domain[i])
+                free_term, coeffs, extras, stamps = got
+                placed = stamps.get((t, size))
+                if placed is None:
+                    placed = stamps[t, size] = stamp(coeffs, extras, t, size)
+                deltas, kept, dropped = placed
+                rest_code = codes[i] - digit[x_t] * place[t]
+                idxs = tuple([code_index[rest_code + d] for d in deltas])
+                out.append((free_term, idxs, kept, dropped))
             return out
 
         rows: list = []
@@ -300,11 +357,16 @@ class OperatorContext:
 
     def dropped_bstar(self) -> float:
         """Largest per-support sum of dropped reference mass; feeds the
-        truncation certificate of window-restricted solves."""
+        truncation certificate of window-restricted solves.  Equals
+        ``bstar_norm`` of the nonzero dropped masses: supports are the
+        domain's contiguous groups, and zeros leave an fsum unchanged."""
         assert self.rows is not None
-        return bstar_norm(
-            {x: row[3] for x, row in zip(self.domain, self.rows) if row[3] != 0.0}
-        )
+        dropped = [row[3] for row in self.rows]
+        if not any(dropped):  # every finite-volume solve
+            return 0.0
+        bounds = self.group_starts.tolist() + [len(dropped)]
+        groups = (dropped[a:b] for a, b in zip(bounds, bounds[1:]))
+        return max((_fsum(g) for g in groups if any(g)), default=0.0)
 
     def matvec(self, phi):
         """K phi (no free term) as a numpy array; empty rows give exactly 0."""

@@ -4,7 +4,8 @@ when those names move, or only the traced benchmark run would notice."""
 
 import pathlib
 
-from spincorr import cli
+from spincorr import cli, solver
+from spincorr.modelfile import load_model
 
 ROOT = pathlib.Path(__file__).parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -45,6 +46,23 @@ def test_counter_counts_real_jobs(monkeypatch, capsys):
         assert counter.counts["parallel.pool_blocks"] == 0
         assert counter.counts["fields.eval_calls"] > 0
     assert counter.counts["solver.iterations"] > 0
+
+
+def test_counter_counts_equal_a_materialized_context(monkeypatch, capsys):
+    # the solve job's window 0:3 at the finite-volume k_max
+    tracing = import_tracing(monkeypatch)
+    counter = tracing.Counter()
+    with counter.installed():
+        assert cli.main(JOBS[1]) == 0
+    window = frozenset((i,) for i in range(4))
+    ctx = solver.OperatorContext(load_model(MODEL).field, window, len(window))
+    ctx.materialize()
+    counts = counter.counts
+    assert counts["solver.row_nnz"] == len(ctx.data)
+    assert counts["solver.unknowns"] == len(ctx.domain)
+    assert counts["solver.memo_entries"] == (
+        len(ctx._weights_memo) + len(ctx._kfac_memo)
+    )
 
 
 def test_tracer_spans_real_jobs(monkeypatch, capsys):

@@ -27,6 +27,7 @@ from spincorr.fields import (
     field_bounds,
 )
 from spincorr.lattice import enumerate_configs, split_min
+from spincorr.modelfile import load_model
 from spincorr.solver import (
     OperatorContext,
     _direct_solve,
@@ -289,6 +290,66 @@ class TestOperatorArrays:
             vec = [rng.uniform(-1.0, 1.0) for _ in ctx.domain]
             want = bstar_norm(dict(zip(ctx.domain, vec)))
             assert ctx.group_norm(vec) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+class TestRowTemplates:
+    """materialize builds each row shape once and stamps it out by integer
+    codes; every row must equal row(x) resolved through the domain."""
+
+    @staticmethod
+    def contexts() -> list:
+        sparse = pair_potential_field(
+            PairPotential.create(1, 2, {((1,), 1, 1): 0.3}, SPINS2), SPINS2
+        )
+        grid = frozenset((i, j) for i in range(3) for j in range(3))
+        return [
+            OperatorContext(
+                random_pair_field(random.Random(5), 1, SPINS3, 2, 0.2),
+                frozenset(chain_window(6)),
+                6,
+            ),
+            OperatorContext(
+                grid_field(0.05, SPINS3), grid, 2, restrict_to_window=False
+            ),
+            OperatorContext(
+                sparse, frozenset(centered_window(4)), 3, restrict_to_window=False
+            ),
+            OperatorContext(ZeroField(SPINS3), frozenset(chain_window(5)), 3),
+        ]
+
+    def test_stamped_rows_equal_resolved_rows(self):
+        for ctx in self.contexts():
+            ctx.materialize()
+            index = {x: i for i, x in enumerate(ctx.domain)}
+            for i, x in enumerate(ctx.domain):
+                free_term, keys, coeffs = ctx.row(x)
+                idxs = []
+                kept = []
+                dropped = 0.0
+                for key, coeff in zip(keys, coeffs):
+                    j = index.get(key)
+                    if j is None:
+                        dropped += abs(coeff)
+                    else:
+                        idxs.append(j)
+                        kept.append(coeff)
+                assert ctx.rows[i] == (free_term, tuple(idxs), tuple(kept), dropped), x
+
+    def test_dropped_bstar_is_bstar_norm_of_dropped_masses(self):
+        grid = frozenset((i, j) for i in range(3) for j in range(3))
+        gated = load_model(str(ROOT / "models" / "chain_gated.model")).field
+        for ctx in (
+            OperatorContext(
+                grid_field(0.05, SPINS3), grid, 2, restrict_to_window=False
+            ),
+            OperatorContext(
+                gated, frozenset(centered_window(6)), 3, restrict_to_window=False
+            ),
+        ):
+            ctx.materialize()
+            want = bstar_norm({x: row[3] for x, row in zip(ctx.domain, ctx.rows)})
+            assert want > 0.0
+            assert ctx.dropped_bstar() == want
 
 
 class TestSolveRoutes:
