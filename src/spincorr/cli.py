@@ -45,13 +45,6 @@ from .exact import (
 from .fields import decay_sums, field_bounds, pair_potential_norm, remark1_sufficiency
 from .lattice import Configuration, box
 from .modelfile import Model, load_model
-from .solver import (
-    convergence_profile,
-    series_lines,
-    solve_finite_volume,
-    solve_infinite_volume,
-    write_series,
-)
 
 DEFAULT_SEED = 20260816
 DEFAULT_INSTANCES = 10000
@@ -218,6 +211,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .solver import solve_finite_volume, solve_infinite_volume
+
     model = load_model(args.model)
     if not args.window:
         raise DomainError("solve needs --window")
@@ -281,6 +276,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    from .solver import convergence_profile, series_lines, write_series
+
     model = load_model(args.model)
     if not args.window:
         raise DomainError("converge needs --window with at least two boxes")

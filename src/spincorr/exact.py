@@ -5,9 +5,10 @@ tables, and correlation functions are computed by walking every
 configuration of the window, and serve as ground truth for the solver.
 The enumeration walks configurations in reflected Gray-code order, so
 each step changes one site and updates the volume energy by one
-single-site transition; it restarts from a full telescoping sum at every
-block boundary so rounding drift cannot accumulate across more than one
-block.
+single-site transition, read from a table that each enumeration call
+builds once and shares between its walks; it restarts from a full
+telescoping sum at every block boundary so rounding drift cannot
+accumulate across more than one block.
 
 The correlation-equation checker re-implements the equation it tests
 from its own loops (no code shared with the solver module).
@@ -39,6 +40,7 @@ from .lattice import (
 from .parallel import block_ranges, map_blocks
 
 MAX_SAFE_ENERGY = 700.0
+TRANSITION_TABLE_CAP = 1 << 16
 
 
 def _check_budget(spins: SpinSpace, n_sites: int, budget: int, what: str) -> None:
@@ -68,41 +70,110 @@ def _exp_all(deltas: list) -> list:
     return list(map(math.exp, deltas))
 
 
+class _TransitionTable:
+    """The one-point transition energies of a window, evaluated once each.
+
+    A swap energy at a window site depends only on the old and new spins
+    and the spins on the site's ball (`balls`, in `field.ball_offsets()`
+    order), whose code is the sum of spin * q**k; a site outside the
+    window and the boundary counts as vacuum.  Keys pack (ball code, old,
+    new) as (code * q + old) * q + new; a homogeneous field shares one dict
+    between all sites.  A miss evaluates the field on the ball's non-vacuum
+    spins, exact under the radius contract, and is stored while the table
+    holds fewer than TRANSITION_TABLE_CAP entries.
+    """
+
+    def __init__(
+        self, field: OnePointField, window: frozenset, boundary: Configuration
+    ):
+        for s, _ in boundary.items:
+            if s in window:
+                raise DomainError(f"boundary overlaps the window at {s!r}")
+        self.field = field
+        self.window = window
+        self.boundary = boundary
+        self.order = sorted(window)
+        self.base = field.spins.size
+        self.vacuum = field.spins.vacuum_index
+        offsets = field.ball_offsets()
+        self.balls = {
+            t: tuple(tuple(a + o for a, o in zip(t, off)) for off in offsets)
+            for t in self.order
+        }
+        shared: dict = {}
+        self.memos = {t: shared if field.homogeneous else {} for t in self.order}
+        self.size = 0
+
+    def code(self, t: tuple, env: Mapping) -> int:
+        """Ball code of `t` under `env` (site -> spin, missing is vacuum)."""
+        vac = self.vacuum
+        code = 0
+        for s in reversed(self.balls[t]):
+            code = code * self.base + env.get(s, vac)
+        return code
+
+    def energy(self, t: tuple, code: int, old: int, new: int) -> float:
+        """field.eval(t, ball, new, old): the volume energy gained when the
+        spin at `t` moves from `old` to `new` inside the ball `code`."""
+        memo = self.memos[t]
+        key = (code * self.base + old) * self.base + new
+        value = memo.get(key)
+        if value is None:
+            vac = self.vacuum
+            ball_spins = {}
+            for s in self.balls[t]:
+                code, spin = divmod(code, self.base)
+                if spin != vac:
+                    ball_spins[s] = spin
+            value = self.field.eval(t, ball_spins, new, old)
+            if self.size < TRANSITION_TABLE_CAP:
+                memo[key] = value
+                self.size += 1
+        return value
+
+
 class _VolumeWalker:
-    """Reflected Gray-code walk over the spins of `free_sites` inside `window`.
+    """Reflected Gray-code walk over the spins of `free_sites` inside the
+    table's window.
 
     Walk position i holds the i-th word of the reflected q-ary Gray code,
     first free site most significant, so consecutive configurations differ
     at exactly one site by one spin index.  Tracks the full-volume energy
-    Delta_window(current, vacuum) with the external `boundary` and the
-    frozen `fixed` part of the configuration, and `code`, the base-q
-    number the spin indices spell in site order.  `seek` recomputes the
-    energy from scratch (telescoping); `advance` applies one single-site
-    transition energy.
+    Delta_window(current, vacuum) with the table's boundary and the frozen
+    `fixed` part of the configuration, and `code`, the base-q number the
+    spin indices spell in site order.  `seek` recomputes the energy from
+    scratch (telescoping); `advance` adds one table entry and updates the
+    ball codes (`codes`) of the free sites whose balls hold the moved one.
     """
 
     def __init__(
         self,
-        field: OnePointField,
-        window: frozenset,
-        boundary: Configuration,
+        table: _TransitionTable,
         fixed: Configuration,
         free_sites: Sequence[tuple],
     ):
-        self.field = field
-        self.window = window
-        self.boundary = boundary
+        self.table = table
         self.fixed = fixed
         self.free_sites = tuple(free_sites)
-        self.base = field.spins.size
-        self.vacuum = field.spins.vacuum_index
+        if not fixed.support.union(self.free_sites) <= table.window:
+            raise DomainError("walked configurations must lie inside the window")
+        self.base = table.base
+        self.vacuum = table.vacuum
         n = len(self.free_sites)
         self.digits = [0] * n
         self.steps = [1] * n
         self.places = [self.base ** (n - 1 - pos) for pos in range(n)]
         self.code = 0
-        self.env: dict = {}
         self.delta = 0.0
+        self.codes = [0] * n
+        self.memos = [table.memos[t] for t in self.free_sites]
+        position = {t: pos for pos, t in enumerate(self.free_sites)}
+        self.neighbours: list = [[] for _ in range(n)]
+        for k, t in enumerate(self.free_sites):
+            for i, s in enumerate(table.balls[t]):
+                pos = position.get(s)
+                if pos is not None:
+                    self.neighbours[pos].append((k, self.base**i))
 
     def seek(self, index: int) -> None:
         """Jump to walk position `index`: each Gray digit is the plain
@@ -120,18 +191,18 @@ class _VolumeWalker:
             if digit % 2:
                 reflected = not reflected
         self.code = sum(d * p for d, p in zip(digits, self.places))
+        table = self.table
+        env = dict(table.boundary.items)
+        env.update(self.fixed.items)
+        env.update(zip(self.free_sites, digits))
+        self.codes = [table.code(t, env) for t in self.free_sites]
+        # telescoped as delta_volume adds it: window order, earlier sites vacuum
         vac = self.vacuum
-        items = list(self.fixed.items)
-        items.extend(
-            (site, d) for site, d in zip(self.free_sites, digits) if d != vac
-        )
-        config = Configuration(sorted(items))
-        self.delta = delta_volume(
-            self.field, self.window, self.boundary, config, EMPTY_CONFIG
-        )
-        env = dict(self.boundary.items)
-        env.update(config.items)
-        self.env = env
+        steps = []
+        for t in table.order:
+            code = table.code(t, env)
+            steps.append(table.energy(t, code, vac, env.pop(t, vac)))
+        self.delta = math.fsum(steps)
 
     def advance(self) -> bool:
         """Step to the next configuration by moving the lowest digit that
@@ -139,28 +210,28 @@ class _VolumeWalker:
         after the last configuration."""
         digits = self.digits
         steps = self.steps
-        top = self.base - 1
+        q = self.base
         pos = len(digits) - 1
         while True:
             if pos < 0:
                 return False
             step = steps[pos]
             new = digits[pos] + step
-            if 0 <= new <= top:
+            if 0 <= new < q:
                 break
             steps[pos] = -step
             pos -= 1
         old = digits[pos]
         digits[pos] = new
         self.code += step * self.places[pos]
-        site = self.free_sites[pos]
-        env = self.env
-        vac = self.vacuum
-        if old != vac:
-            del env[site]
-        self.delta += self.field.eval(site, env, new, old)
-        if new != vac:
-            env[site] = new
+        codes = self.codes
+        code = codes[pos]
+        energy = self.memos[pos].get((code * q + old) * q + new)
+        if energy is None:
+            energy = self.table.energy(self.free_sites[pos], code, old, new)
+        self.delta += energy
+        for k, place in self.neighbours[pos]:
+            codes[k] += step * place
         return True
 
     def support_items(self) -> tuple:
@@ -174,16 +245,12 @@ class _VolumeWalker:
 
 
 def _sum_weights(
-    field: OnePointField,
-    window: frozenset,
-    boundary: Configuration,
-    fixed: Configuration,
-    free_sites: Sequence[tuple],
+    transitions: _TransitionTable, fixed: Configuration, free_sites: Sequence[tuple]
 ) -> float:
-    total = field.spins.size ** len(free_sites)
+    total = transitions.base ** len(free_sites)
 
     def job(start: int, stop: int) -> float:
-        walker = _VolumeWalker(field, window, boundary, fixed, free_sites)
+        walker = _VolumeWalker(transitions, fixed, free_sites)
         walker.seek(start)
         advance = walker.advance
         deltas = []
@@ -205,7 +272,8 @@ def partition_function(
     """Sum of exp{Delta_window(x, vacuum)} over all configurations x."""
     window = frozenset(window)
     _check_budget(field.spins, len(window), budget, "partition function")
-    return _sum_weights(field, window, boundary, EMPTY_CONFIG, sorted(window))
+    transitions = _TransitionTable(field, window, boundary)
+    return _sum_weights(transitions, EMPTY_CONFIG, transitions.order)
 
 
 @dataclass(frozen=True)
@@ -256,9 +324,10 @@ def gibbs_distribution(
             return _guarded_exp(d)
 
     total = spins.size ** len(sites)
+    transitions = _TransitionTable(field, window, boundary)
 
     def job(start: int, stop: int) -> tuple:
-        walker = _VolumeWalker(field, window, boundary, EMPTY_CONFIG, sites)
+        walker = _VolumeWalker(transitions, EMPTY_CONFIG, sites)
         walker.seek(start)
         entries = []
         for _ in range(stop - start):
@@ -300,23 +369,18 @@ class CorrelationTable:
         return sorted(self.values.items(), key=lambda kv: (len(kv[0]), kv[0].items))
 
 
-def _marginal_numerators(
-    field: OnePointField,
-    window: frozenset,
-    boundary: Configuration,
-) -> tuple:
+def _marginal_numerators(transitions: _TransitionTable) -> tuple:
     """One pass over all configurations z fills their weights by `code`;
     then each site axis of length q becomes an axis of length 1 + n_x: the
     sum over the axis (site left free), then the slices at the non-vacuum
     spins (site pinned).  Each entry of the result is the numerator of the
     configuration it pins."""
-    sites = sorted(window)
-    spins = field.spins
-    q = spins.size
+    sites = transitions.order
+    q = transitions.base
     weights = [0.0] * q ** len(sites)
 
     def job(start: int, stop: int) -> float:
-        walker = _VolumeWalker(field, window, boundary, EMPTY_CONFIG, sites)
+        walker = _VolumeWalker(transitions, EMPTY_CONFIG, sites)
         walker.seek(start)
         advance = walker.advance
         codes = []
@@ -332,7 +396,7 @@ def _marginal_numerators(
 
     z = math.fsum(map_blocks(job, block_ranges(len(weights))))
 
-    star = spins.star_indices
+    star = transitions.field.spins.star_indices
     table = weights
     keys = [()]
     for pos, site in enumerate(sites):
@@ -350,27 +414,20 @@ def _marginal_numerators(
     return z, numerators
 
 
-def _extension_numerators(
-    field: OnePointField,
-    window: frozenset,
-    boundary: Configuration,
-) -> tuple:
+def _extension_numerators(transitions: _TransitionTable) -> tuple:
     """Independent route: one enumeration of extensions per target
     configuration, following the defining sum for the correlation value."""
-    sites = sorted(window)
-    spins = field.spins
-    z = _sum_weights(field, window, boundary, EMPTY_CONFIG, sites)
+    sites = transitions.order
+    z = _sum_weights(transitions, EMPTY_CONFIG, sites)
     numerators: dict = {}
-    star = spins.star_indices
+    star = transitions.field.spins.star_indices
     for k in range(1, len(sites) + 1):
         for support in combinations(sites, k):
             support_set = frozenset(support)
             free = [s for s in sites if s not in support_set]
             for assignment in product(star, repeat=k):
                 fixed = Configuration._make(tuple(zip(support, assignment)))
-                numerators[fixed.items] = _sum_weights(
-                    field, window, boundary, fixed, free
-                )
+                numerators[fixed.items] = _sum_weights(transitions, fixed, free)
     return z, numerators
 
 
@@ -404,12 +461,13 @@ def rho_exact(
                 budget=budget,
             )
 
+    transitions = _TransitionTable(field, window, boundary)
     if method == "extension":
-        z, numerators = _extension_numerators(field, window, boundary)
+        z, numerators = _extension_numerators(transitions)
     else:
-        z, numerators = _marginal_numerators(field, window, boundary)
+        z, numerators = _marginal_numerators(transitions)
         if method == "both":
-            z2, numerators2 = _extension_numerators(field, window, boundary)
+            z2, numerators2 = _extension_numerators(transitions)
             worst = abs(z2 / z - 1.0)
             for key, num in numerators.items():
                 worst = max(worst, abs(num / z - numerators2[key] / z2))
@@ -438,8 +496,9 @@ def rho_probe(
     exhaust memory (the enumeration budget still applies)."""
     window = frozenset(window)
     _check_budget(field.spins, len(window), budget, "correlation probe")
-    sites = sorted(window)
-    z = _sum_weights(field, window, boundary, EMPTY_CONFIG, sites)
+    transitions = _TransitionTable(field, window, boundary)
+    sites = transitions.order
+    z = _sum_weights(transitions, EMPTY_CONFIG, sites)
     out: dict = {}
     for probe in probes:
         if not probe.support <= window:
@@ -450,7 +509,7 @@ def rho_probe(
             out[probe] = 1.0
             continue
         free = [s for s in sites if s not in probe.support]
-        num = _sum_weights(field, window, boundary, probe, free)
+        num = _sum_weights(transitions, probe, free)
         out[probe] = num / z
     return out
 
@@ -547,7 +606,12 @@ def correlation_rhs(
     # alpha = vacuum contributes weight 1 and a vanishing kernel sum.
     correction = [g_x]
     for alpha in star:
-        g_alpha = theorem_g_value(field, window, table, t, alpha, rest, kernel_cache)
+        if alpha == x_t:  # the same deterministic call as g_x
+            g_alpha = g_x
+        else:
+            g_alpha = theorem_g_value(
+                field, window, table, t, alpha, rest, kernel_cache
+            )
         correction.append(weights[alpha] * (g_x - g_alpha))
     return gamma * (table.value(rest) + math.fsum(correction))
 

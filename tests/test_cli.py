@@ -423,10 +423,10 @@ class TestInputErrors:
         assert proc.stdout.strip() == "0.1.0"
 
 
-def loaded_after(code: str) -> str:
+def loaded_after(code: str, modules=("numpy", "scipy")) -> str:
     """Run code in a fresh interpreter; the last stdout line lists which of
-    numpy and scipy it left in sys.modules."""
-    code += "\nprint([m for m in ('numpy', 'scipy') if m in sys.modules])"
+    `modules` it left in sys.modules."""
+    code += f"\nprint([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", "import sys\n" + code],
         capture_output=True,
@@ -439,7 +439,8 @@ def loaded_after(code: str) -> str:
 
 
 class TestImportCost:
-    """numpy loads only when a solve runs, scipy only on the direct route."""
+    """numpy loads only when a solve runs, scipy only on the direct route,
+    and the solver module only for the commands that run it."""
 
     def test_cli_import_loads_neither(self):
         assert loaded_after("import spincorr.cli") == "[]"
@@ -455,6 +456,11 @@ class TestImportCost:
             f"assert cli.main({argv + ['--method', method]!r}) == 0"
         )
         assert loaded_after(code) == loaded
+
+    def test_exact_does_not_load_the_solver(self):
+        argv = ["exact", "--model", model("chain_gated"), "--window=0:3"]
+        code = f"from spincorr import cli\nassert cli.main({argv!r}) == 0"
+        assert loaded_after(code, ("spincorr.solver",)) == "[]"
 
 
 class TestDeterminism:

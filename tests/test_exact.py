@@ -18,9 +18,11 @@ from spincorr import (
     verify_correlation_equation,
     write_table,
 )
-from spincorr.exact import _VolumeWalker
+from spincorr import exact
+from spincorr.exact import _TransitionTable, _VolumeWalker
 from spincorr.fields import (
     OnePointField,
+    PerturbedField,
     TripleInteractionField,
     ZeroField,
     delta_volume,
@@ -56,6 +58,7 @@ class CountingField(OnePointField):
         self.spins = base.spins
         self.dimension = base.dimension
         self.radius = base.radius
+        self.homogeneous = base.homogeneous
         self.calls = 0
 
     def eval(self, t, boundary, x, u):
@@ -63,49 +66,122 @@ class CountingField(OnePointField):
         return self.base.eval(t, boundary, x, u)
 
 
+def walk_field(kind, rng, dimension, spins):
+    pair = random_pair_field(rng, dimension, spins, 1, max_coupling=0.4)
+    if kind == "pair":
+        return pair
+    if kind == "perturbed":
+        # opposite bumps on the two swaps between the vacuum and the first
+        # star spin at one site: a one-body term there, so the field stays
+        # consistent but is no longer translation invariant
+        site, star, vac = (2,) * dimension, spins.star_indices[0], spins.vacuum_index
+        bumped = PerturbedField(pair, site, star, vac, 0.3)
+        return PerturbedField(bumped, site, vac, star, -0.3)
+    return TripleInteractionField(pair, 0.3)
+
+
 WALKS = {
-    # spins, window, boundary, fixed sites -> spins, walk start
-    "q2-chain": (SPINS2, chain_window(6), EMPTY_CONFIG, {}, 0),
+    # spins, window, boundary, fixed sites -> spins, walk start, field kind
+    "q2-chain": (SPINS2, chain_window(6), EMPTY_CONFIG, {}, 0, "pair"),
     "q2-boundary-fixed": (
         SPINS2,
         chain_window(7),
         config(((-1,), 1), ((7,), 1)),
         {(3,): 1},
         21,
+        "pair",
     ),
+    "q2-perturbed-boundary": (
+        SPINS2,
+        chain_window(6),
+        config(((6,), 1),),
+        {},
+        5,
+        "perturbed",
+    ),
+    "q3-triple-chain": (SPINS3, chain_window(5), EMPTY_CONFIG, {(1,): 2}, 7, "triple"),
     "q3-vacuum-mid-grid": (
         SPINS3_MID,
         tuple((i, j) for i in range(2) for j in range(3)),
         config(((-1, 0), 2), ((2, 2), 0)),
         {(0, 1): 2},
         100,
+        "pair",
+    ),
+    # 3**8 positions: the walk resumes at 2048, which no power of 3 divides
+    "q3-grid-unaligned": (
+        SPINS3_MID,
+        tuple((i, j) for i in range(2) for j in range(4)),
+        config(((2, 1), 2),),
+        {},
+        2048,
+        "pair",
     ),
 }
+
+
+def ball_key(field, env, site, old, new):
+    """The transition a step reads: the site (for a field that depends on
+    it), the spins on the site's ball, and the old and new spins."""
+    vac = field.spins.vacuum_index
+    ball = tuple(
+        env.get(tuple(a + o for a, o in zip(site, off)), vac)
+        for off in field.ball_offsets()
+    )
+    return (None if field.homogeneous else site, ball, old, new)
+
+
+def seek_keys(field, walker):
+    """The transitions `seek` telescopes, in window order with the earlier
+    sites already vacuum."""
+    vac = field.spins.vacuum_index
+    env = dict(walker.table.boundary.items)
+    env.update(walker.support_items())
+    keys = set()
+    for t in sorted(walker.table.window):
+        keys.add(ball_key(field, env, t, vac, env.pop(t, vac)))
+    return keys
 
 
 @pytest.mark.parametrize("name", sorted(WALKS))
 class TestVolumeWalker:
     def setup_walk(self, name):
-        spins, window, boundary, fixed_spins, start = WALKS[name]
-        rng = random.Random(name)
-        base = random_pair_field(rng, len(window[0]), spins, 1, max_coupling=0.4)
+        spins, window, boundary, fixed_spins, start, kind = WALKS[name]
+        base = walk_field(kind, random.Random(name), len(window[0]), spins)
         field = CountingField(base)
         fixed = Configuration(fixed_spins.items())
         free = sorted(s for s in window if s not in fixed_spins)
-        walker = _VolumeWalker(field, frozenset(window), boundary, fixed, free)
+        table = _TransitionTable(field, frozenset(window), boundary)
+        walker = _VolumeWalker(table, fixed, free)
         return field, walker, start, spins.size ** len(free)
 
-    def walk(self, field, walker, start, total):
-        """(digits, support, delta) at each position from start to the end,
-        asserting one eval per step and the end of the walk."""
+    def walk(self, field, walker, start, total, keys=None):
+        """(digits, support, delta) at each position from start to the end.
+
+        Asserts the end of the walk, and that each step adds to the energy,
+        bit for bit, the field's transition energy on the full
+        configuration before the step.  Collects the transitions read
+        into `keys`."""
         walker.seek(start)
+        if keys is not None:
+            keys.update(seek_keys(field.base, walker))
         seen = []
         for position in range(start, total):
-            seen.append((tuple(walker.digits), walker.support_items(), walker.delta))
-            calls = field.calls
+            digits, support = tuple(walker.digits), walker.support_items()
+            delta = walker.delta
+            seen.append((digits, support, delta))
             moved = walker.advance()
             assert moved == (position < total - 1)
-            assert field.calls - calls == (1 if moved else 0)
+            if not moved:
+                break
+            (pos,) = [p for p, d in enumerate(digits) if d != walker.digits[p]]
+            site, old, new = walker.free_sites[pos], digits[pos], walker.digits[pos]
+            env = dict(walker.table.boundary.items)
+            env.update(support)
+            env.pop(site, None)
+            assert walker.delta == delta + field.base.eval(site, env, new, old)
+            if keys is not None:
+                keys.add(ball_key(field.base, env, site, old, new))
         return seen
 
     def test_visits_each_configuration_once_by_single_site_steps(self, name):
@@ -133,10 +209,13 @@ class TestVolumeWalker:
 
     def test_energy_tracks_telescoped_value(self, name):
         field, walker, start, total = self.setup_walk(name)
+        table = walker.table
         for _, support, delta in self.walk(field, walker, start, total):
             x = Configuration._make(support)
-            exact = delta_volume(field.base, walker.window, walker.boundary, x, EMPTY_CONFIG)
-            assert abs(delta - exact) <= 1e-12
+            telescoped = delta_volume(
+                field.base, table.window, table.boundary, x, EMPTY_CONFIG
+            )
+            assert abs(delta - telescoped) <= 1e-12
 
     def test_seek_resumes_the_walk(self, name):
         field, walker, start, total = self.setup_walk(name)
@@ -144,6 +223,37 @@ class TestVolumeWalker:
         resumed = self.walk(field, walker, start, total)
         assert [d for d, _, _ in resumed] == [d for d, _, _ in full[start:]]
         assert [s for _, s, _ in resumed] == [s for _, s, _ in full[start:]]
+        # seek restarts from the telescoped sum, exactly as delta_volume adds it
+        table = walker.table
+        x = Configuration._make(resumed[0][1])
+        assert resumed[0][2] == delta_volume(
+            field.base, table.window, table.boundary, x, EMPTY_CONFIG
+        )
+
+    def test_each_transition_is_evaluated_once(self, name):
+        field, walker, start, total = self.setup_walk(name)
+        keys: set = set()
+        self.walk(field, walker, start, total, keys)
+        assert 0 < field.calls <= len(keys)
+        second = _VolumeWalker(walker.table, walker.fixed, walker.free_sites)
+        calls = field.calls
+        self.walk(field, second, start, total)
+        assert field.calls == calls
+
+    def test_capped_table_walks_the_same_energies(self, name, monkeypatch):
+        field, walker, start, total = self.setup_walk(name)
+        full = self.walk(field, walker, start, total)
+        monkeypatch.setattr(exact, "TRANSITION_TABLE_CAP", 4)
+        field, walker, start, total = self.setup_walk(name)
+        table = walker.table
+        walker.seek(start)
+        capped = []
+        for _ in range(start, total):
+            capped.append((tuple(walker.digits), walker.support_items(), walker.delta))
+            walker.advance()
+            stored = {id(m): len(m) for m in table.memos.values()}
+            assert table.size == sum(stored.values()) <= 4
+        assert capped == full
 
 
 class TestPartitionFunction:
@@ -274,6 +384,13 @@ class TestRhoExact:
         got = rho_probe(field, window, probes, boundary=boundary)
         for probe in probes:
             assert got[probe] == pytest.approx(a.value(probe), abs=1e-13)
+
+    def test_routes_share_one_transition_table(self):
+        # a two-spin chain of radius 1 has 2**2 ball codes and 2**2
+        # (old, new) pairs, however many walks both routes make
+        field = CountingField(chain_field(0.2))
+        rho_exact(field, chain_window(8), method="both")
+        assert field.calls <= 2**2 * 2**2
 
     def test_table_covers_every_configuration(self):
         window = chain_window(3)
