@@ -32,10 +32,10 @@ from .lattice import (
     distance_to_complement,
     enumerate_configs,
     interior,
-    set_distance,
     split_min,
 )
 from .fields import (
+    PairField,
     PairPotential,
     PerturbedField,
     TripleInteractionField,
@@ -44,7 +44,6 @@ from .fields import (
     delta_volume,
     field_bounds,
     norm_delta1,
-    pair_potential_field,
     pair_potential_norm,
     remark1_sufficiency,
 )
@@ -76,6 +75,7 @@ __all__ = [
     "Model",
     "ModelDefinitionError",
     "ModelFileError",
+    "PairField",
     "PairPotential",
     "PerturbedField",
     "SolverDivergenceError",
@@ -100,7 +100,6 @@ __all__ = [
     "load_model",
     "model_digest",
     "norm_delta1",
-    "pair_potential_field",
     "pair_potential_norm",
     "parse_model",
     "partition_function",
@@ -108,7 +107,6 @@ __all__ = [
     "remark1_sufficiency",
     "rho_exact",
     "rho_probe",
-    "set_distance",
     "split_min",
     "verify_correlation_equation",
     "write_table",

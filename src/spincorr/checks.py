@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import EnvironmentConditionError
 from .fields import OnePointField, volume_steps
 from .lattice import (
     EMPTY_CONFIG,
@@ -30,6 +31,11 @@ DEFAULT_CHECK_TOL = 1e-10
 # large to carry the digits of the others must not read as a failed
 # identity.
 ROUNDING_EPSILONS = 4.0
+
+# The seeded plan behind the boundary-replacement gate of the solver and
+# the correlation-equation oracle.
+ENV_GATE_SEED = 20260816
+ENV_GATE_INSTANCES = 300
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,8 @@ class _Worst:
         )
 
 
-def _random_site(rng: random.Random, dimension: int, span: int = 4) -> Site:
-    return tuple(rng.randint(-span, span) for _ in range(dimension))
+def _random_site(rng: random.Random, dimension: int) -> Site:
+    return tuple(rng.randint(-4, 4) for _ in range(dimension))
 
 
 def _random_boundary(
@@ -105,9 +111,8 @@ def _random_boundary(
     field: OnePointField,
     near: Sequence[Site],
     exclude: set,
-    max_sites: int = 4,
 ) -> Configuration:
-    """Random finite-support boundary scattered around the given sites."""
+    """Random boundary of at most 4 sites scattered around the given sites."""
     candidates = set()
     for t in near:
         candidates.update(ball(t, field.radius + 1))
@@ -115,7 +120,7 @@ def _random_boundary(
     candidates = sorted(candidates)
     if not candidates:
         return EMPTY_CONFIG
-    count = rng.randint(0, min(max_sites, len(candidates)))
+    count = rng.randint(0, min(4, len(candidates)))
     sites = rng.sample(candidates, count)
     star = field.spins.star_indices
     return Configuration((s, rng.choice(star)) for s in sites)
@@ -151,9 +156,10 @@ def one_point_plan_random(
 
 
 def one_point_plan_exhaustive(
-    field: OnePointField, window: Iterable[Site], max_boundary_sites: int = 2
+    field: OnePointField, window: Iterable[Site]
 ) -> list[tuple]:
-    """All site pairs, small boundaries, and spin tuples inside a window."""
+    """All site pairs, boundaries of at most 2 sites, and spin tuples
+    inside a window."""
     sites = sorted(window)
     spins = field.spins
     star = spins.star_indices
@@ -161,7 +167,7 @@ def one_point_plan_exhaustive(
     for t, s in itertools.permutations(sites, 2):
         rest = [r for r in sites if r not in (t, s)]
         boundary_choices = [EMPTY_CONFIG]
-        for k in range(1, min(max_boundary_sites, len(rest)) + 1):
+        for k in range(1, min(2, len(rest)) + 1):
             for combo in itertools.combinations(rest, k):
                 for vals in itertools.product(star, repeat=k):
                     boundary_choices.append(Configuration(zip(combo, vals)))
@@ -350,3 +356,18 @@ def check_environment_condition(
             lambda: f"t={t} s={s} z={z!r} x={x} ys={ys} vs={vs}",
         )
     return worst.report("environment_condition", len(plan), tolerance)
+
+
+def require_environment_condition(field: OnePointField, tolerance: float) -> None:
+    """The gate in front of the correlation equation: the seeded random
+    boundary-replacement check must pass, or EnvironmentConditionError."""
+    rng = random.Random(ENV_GATE_SEED)
+    plan = environment_plan_random(field, rng, ENV_GATE_INSTANCES)
+    report = check_environment_condition(field, plan, tolerance)
+    if not report.passed:
+        raise EnvironmentConditionError(
+            "boundary-replacement identity fails; the correlation equation "
+            "does not apply to this field",
+            witness=report.witness,
+            residual=report.max_residual,
+        )

@@ -19,14 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import checks
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    EnvironmentConditionError,
-)
+from .errors import BudgetExceededError, DomainError
 from .fields import OnePointField, delta_volume
 from .lattice import (
     DEFAULT_ENUM_BUDGET,
@@ -37,29 +33,52 @@ from .lattice import (
     merge_items,
     split_min,
 )
-from .parallel import block_ranges, map_blocks
 
 MAX_SAFE_ENERGY = 700.0
 TRANSITION_TABLE_CAP = 1 << 16
+DEFAULT_BLOCK = 2048
+SELF_CHECK_TOL = 1e-12
 
 
-def _check_budget(spins: SpinSpace, n_sites: int, budget: int, what: str) -> None:
-    required = spins.size ** n_sites
-    if required > budget:
+def block_ranges(n: int, block: int = DEFAULT_BLOCK) -> list[tuple[int, int]]:
+    """Fixed [start, stop) partition of range(n).  Block boundaries depend
+    only on n, so per-block sums combined in block order see the same
+    operand order every run."""
+    if n <= 0:
+        return []
+    return [(i, min(i + block, n)) for i in range(0, n, block)]
+
+
+def map_blocks(fn: Callable, ranges: Sequence[tuple], threads: int = 1) -> list:
+    """``fn(start, stop)`` for each block in order.  ``threads`` is ignored;
+    the benchmark's counter calls this with three arguments."""
+    return [fn(start, stop) for start, stop in ranges]
+
+
+def _check_budget(required: int, what: str, unit: str = "configurations") -> None:
+    if required > DEFAULT_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"{what} needs {required} configurations, budget is {budget}",
+            f"{what} needs {required} {unit}, budget is {DEFAULT_ENUM_BUDGET}",
             required=required,
-            budget=budget,
+            budget=DEFAULT_ENUM_BUDGET,
         )
 
 
-def _guarded_exp(delta: float) -> float:
+def _guarded_exp(delta: float, what: str = "volume energy") -> float:
     if abs(delta) > MAX_SAFE_ENERGY:
         raise DomainError(
-            f"volume energy {delta!r} exceeds the safe exponent range "
+            f"{what} {delta!r} exceeds the safe exponent range "
             f"(+/-{MAX_SAFE_ENERGY}); rescale the couplings"
         )
     return math.exp(delta)
+
+
+def _oracle_exp(exponent: float, what: str) -> float:
+    """exp for the oracle's weights and kernel factors: an exponent that
+    underflows gives 0, one beyond the safe range is refused."""
+    if exponent > MAX_SAFE_ENERGY:
+        _guarded_exp(exponent, what)
+    return math.exp(exponent)
 
 
 def _exp_all(deltas: list) -> list:
@@ -267,11 +286,10 @@ def partition_function(
     field: OnePointField,
     window: Iterable[tuple],
     boundary: Configuration = EMPTY_CONFIG,
-    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> float:
     """Sum of exp{Delta_window(x, vacuum)} over all configurations x."""
     window = frozenset(window)
-    _check_budget(field.spins, len(window), budget, "partition function")
+    _check_budget(field.spins.size ** len(window), "partition function")
     transitions = _TransitionTable(field, window, boundary)
     return _sum_weights(transitions, EMPTY_CONFIG, transitions.order)
 
@@ -299,7 +317,6 @@ def gibbs_distribution(
     window: Iterable[tuple],
     boundary: Configuration = EMPTY_CONFIG,
     reference: Configuration | None = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> GibbsTable:
     """Normalized Boltzmann weights exp{Delta_window(x, reference)}.
 
@@ -309,7 +326,7 @@ def gibbs_distribution(
     reference-independence test meaningful.
     """
     window = frozenset(window)
-    _check_budget(field.spins, len(window), budget, "Gibbs table")
+    _check_budget(field.spins.size ** len(window), "Gibbs table")
     sites = sorted(window)
     spins = field.spins
 
@@ -435,31 +452,23 @@ def rho_exact(
     field: OnePointField,
     window: Iterable[tuple],
     boundary: Configuration = EMPTY_CONFIG,
-    budget: int = DEFAULT_ENUM_BUDGET,
     method: str = "both",
-    self_check_tol: float = 1e-12,
 ) -> CorrelationTable:
     """Full correlation table over the window.
 
     method "marginal" distributes each Boltzmann weight to all
     restrictions of its configuration; "extension" enumerates extensions
     per target configuration; "both" (default) computes the table both
-    ways and insists they agree within self_check_tol.
+    ways and insists they agree within SELF_CHECK_TOL.
     """
     window = frozenset(window)
     spins = field.spins
-    _check_budget(spins, len(window), budget, "correlation table")
+    _check_budget(spins.size ** len(window), "correlation table")
     if method not in ("marginal", "extension", "both"):
         raise DomainError(f"unknown method {method!r}")
     if method == "both":
         cost = (spins.size + spins.n_x) ** len(window)
-        if cost > budget:
-            raise BudgetExceededError(
-                f"two-route correlation table needs {cost} enumeration steps, "
-                f"budget is {budget}",
-                required=cost,
-                budget=budget,
-            )
+        _check_budget(cost, "two-route correlation table", "enumeration steps")
 
     transitions = _TransitionTable(field, window, boundary)
     if method == "extension":
@@ -471,10 +480,10 @@ def rho_exact(
             worst = abs(z2 / z - 1.0)
             for key, num in numerators.items():
                 worst = max(worst, abs(num / z - numerators2[key] / z2))
-            if worst > self_check_tol:
+            if worst > SELF_CHECK_TOL:
                 raise DomainError(
                     "correlation routes disagree: marginal vs extension "
-                    f"differ by {worst!r} (tolerance {self_check_tol!r})"
+                    f"differ by {worst!r} (tolerance {SELF_CHECK_TOL!r})"
                 )
 
     values = {Configuration._make(key): num / z for key, num in numerators.items()}
@@ -487,7 +496,6 @@ def rho_probe(
     window: Iterable[tuple],
     probes: Sequence[Configuration],
     boundary: Configuration = EMPTY_CONFIG,
-    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> dict:
     """Correlation values for selected configurations only.
 
@@ -495,7 +503,7 @@ def rho_probe(
     materializing a table, so it scales to windows where rho_exact would
     exhaust memory (the enumeration budget still applies)."""
     window = frozenset(window)
-    _check_budget(field.spins, len(window), budget, "correlation probe")
+    _check_budget(field.spins.size ** len(window), "correlation probe")
     transitions = _TransitionTable(field, window, boundary)
     sites = transitions.order
     z = _sum_weights(transitions, EMPTY_CONFIG, sites)
@@ -512,21 +520,6 @@ def rho_probe(
         num = _sum_weights(transitions, probe, free)
         out[probe] = num / z
     return out
-
-
-def _environment_precheck(field: OnePointField, instances: int, tolerance: float) -> None:
-    import random
-
-    rng = random.Random(20260816)
-    plan = checks.environment_plan_random(field, rng, instances)
-    report = checks.check_environment_condition(field, plan, tolerance)
-    if not report.passed:
-        raise EnvironmentConditionError(
-            "boundary-replacement identity fails; the correlation equation "
-            "is not asserted for this field",
-            witness=report.witness,
-            residual=report.max_residual,
-        )
 
 
 def theorem_g_value(
@@ -558,7 +551,7 @@ def theorem_g_value(
         if got is None:
             shifted = field.eval(s, {t: x_t}, b, vac)
             free = field.eval(s, {}, b, vac)
-            got = math.exp(shifted - free) - 1.0
+            got = _oracle_exp(shifted - free, "kernel exponent") - 1.0
             kernel_cache[key] = got
         return got
 
@@ -598,7 +591,10 @@ def correlation_rhs(
     star = spins.star_indices
     t, x_t, rest = split_min(x)
     boundary_map = dict(rest.items)
-    weights = {alpha: math.exp(field.eval(t, boundary_map, alpha, vac)) for alpha in star}
+    weights = {
+        alpha: _oracle_exp(field.eval(t, boundary_map, alpha, vac), "weight exponent")
+        for alpha in star
+    }
     denom = 1.0 + math.fsum(weights[alpha] for alpha in star)
     gamma = weights[x_t] / denom
 
@@ -621,7 +617,6 @@ def verify_correlation_equation(
     window: Iterable[tuple],
     table: CorrelationTable,
     tolerance: float = 1e-9,
-    env_instances: int = 300,
 ) -> checks.CheckReport:
     """Check every nonempty configuration of the table against the
     correlation equation, after confirming the field satisfies the
@@ -630,7 +625,7 @@ def verify_correlation_equation(
     The external boundary is vacuum, matching the table convention.
     """
     window = frozenset(window)
-    _environment_precheck(field, env_instances, min(tolerance, 1e-10))
+    checks.require_environment_condition(field, min(tolerance, 1e-10))
 
     kernel_cache: dict = {}
     worst = 0.0
@@ -642,6 +637,8 @@ def verify_correlation_equation(
             continue
         rhs = correlation_rhs(field, window, table, x, kernel_cache)
         residual = abs(lhs - rhs)
+        if math.isnan(residual):  # must not read as a pass
+            residual = math.inf
         count += 1
         if residual > worst:
             worst = residual

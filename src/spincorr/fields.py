@@ -286,15 +286,6 @@ def require_homogeneous(field: OnePointField) -> None:
         )
 
 
-def pair_potential_field(
-    potential: PairPotential,
-    spins: SpinSpace,
-    one_body: Sequence[float] | None = None,
-) -> PairField:
-    """Build the one-point field induced by a pair potential."""
-    return PairField(potential, spins, one_body)
-
-
 def delta_volume(
     field: OnePointField,
     window: Iterable[Site],
@@ -366,7 +357,7 @@ def volume_steps(
 # ---------------------------------------------------------------------------
 
 
-def norm_delta1(field: OnePointField, scan_budget: int = NORM_SCAN_BUDGET) -> float:
+def norm_delta1(field: OnePointField) -> float:
     """Supremum of the one-point swap energy over spins and boundaries.
 
     Scans every boundary pattern on the dependence neighborhood when that is
@@ -376,11 +367,11 @@ def norm_delta1(field: OnePointField, scan_budget: int = NORM_SCAN_BUDGET) -> fl
     require_homogeneous(field)
     offsets = field.ball_offsets()
     count = field.spins.size ** len(offsets)
-    if count > scan_budget:
+    if count > NORM_SCAN_BUDGET:
         if isinstance(field, PairField):
             return field.norm_bound_exact()
         raise ModelDefinitionError(
-            f"norm scan needs {count} boundary patterns (budget {scan_budget}) "
+            f"norm scan needs {count} boundary patterns (budget {NORM_SCAN_BUDGET}) "
             "and the field provides no exact bound"
         )
     spins = field.spins
@@ -401,7 +392,6 @@ def norm_delta1(field: OnePointField, scan_budget: int = NORM_SCAN_BUDGET) -> fl
 class DecaySums:
     """Per-offset coupling strengths of the swap-vs-free energy difference."""
 
-    dimension: int
     total: float  # the worst-case single-spin sum (the constant D)
     per_offset: Mapping[Site, float]
 
@@ -443,7 +433,7 @@ def decay_sums(field: OnePointField) -> DecaySums:
         (math.fsum(v) for v in per_spin_totals.values()),
         default=0.0,
     )
-    return DecaySums(field.dimension, total, per_offset)
+    return DecaySums(total, per_offset)
 
 
 @dataclass(frozen=True)
@@ -500,10 +490,10 @@ def bounds_from_norms(norm_d1: float, decay_total: float, n_x: int) -> FieldBoun
     return FieldBounds(norm_d1, decay_total, n_x, c1, c1_proof, c2, lhs)
 
 
-def field_bounds(field: OnePointField, scan_budget: int = NORM_SCAN_BUDGET) -> FieldBounds:
+def field_bounds(field: OnePointField) -> FieldBounds:
     """Compute the contraction-gate constants of a field."""
     return bounds_from_norms(
-        norm_delta1(field, scan_budget), decay_sums(field).total, field.spins.n_x
+        norm_delta1(field), decay_sums(field).total, field.spins.n_x
     )
 
 

@@ -75,9 +75,6 @@ class SpinSpace:
         except ValueError:
             raise DomainError(f"unknown spin label {label!r}") from None
 
-    def label(self, index: int) -> str:
-        return self.symbols[index]
-
 
 class Configuration:
     """Immutable finite-support map from sites to non-vacuum spin indices.
@@ -120,24 +117,6 @@ class Configuration:
     def mapping(self) -> Mapping[Site, int]:
         """Site -> spin index view.  Treat as read-only."""
         return self._map
-
-    def get(self, site: Site) -> int | None:
-        return self._map.get(site)
-
-    def spin_at(self, site: Site, vacuum: int) -> int:
-        return self._map.get(site, vacuum)
-
-    def min_site(self) -> Site:
-        if not self.items:
-            raise DomainError("empty configuration has no minimal site")
-        return self.items[0][0]
-
-    def restrict(self, sites: Iterable[Site]) -> "Configuration":
-        keep = set(sites)
-        return Configuration._make(tuple(it for it in self.items if it[0] in keep))
-
-    def without(self, site: Site) -> "Configuration":
-        return Configuration._make(tuple(it for it in self.items if it[0] != site))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -204,14 +183,6 @@ def chebyshev_distance(t: Site, s: Site) -> int:
     return max(abs(a - b) for a, b in zip(t, s))
 
 
-def set_distance(a: Iterable[Site], b: Iterable[Site]) -> int:
-    """Minimum Chebyshev distance over pairs from two nonempty site sets."""
-    a, b = list(a), list(b)
-    if not a or not b:
-        raise DomainError("set distance needs nonempty site sets")
-    return min(chebyshev_distance(t, s) for t in a for s in b)
-
-
 def box(lo: Site, hi: Site) -> frozenset:
     """All sites of the axis-aligned box with inclusive corners lo, hi."""
     if len(lo) != len(hi):
@@ -253,7 +224,6 @@ def interior(window: Iterable[Site], r: int) -> frozenset:
 def enumerate_configs(
     window: Iterable[Site],
     spins: SpinSpace,
-    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Iterator[Configuration]:
     """Enumerate configurations over a window in a deterministic order.
 
@@ -262,11 +232,11 @@ def enumerate_configs(
     """
     sites = sorted(window)
     count = spins.size ** len(sites)
-    if count > budget:
+    if count > DEFAULT_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"enumeration needs {count} states, budget is {budget}",
+            f"enumeration needs {count} states, budget is {DEFAULT_ENUM_BUDGET}",
             required=count,
-            budget=budget,
+            budget=DEFAULT_ENUM_BUDGET,
         )
     vacuum = spins.vacuum_index
     choices = spins.indices

@@ -24,12 +24,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import ModelFileError
-from .fields import (
-    OnePointField,
-    PairPotential,
-    PerturbedField,
-    pair_potential_field,
-)
+from .fields import OnePointField, PairField, PairPotential, PerturbedField
 from .lattice import SpinSpace, Site
 
 # Every ball() around a site holds (2 * range + 1) ** dimension sites, and
@@ -208,7 +203,7 @@ def parse_model(text: str) -> Model:
         one_body[spin_index(label, line_no)] = val
 
     try:
-        field: OnePointField = pair_potential_field(potential, spins, one_body)
+        field: OnePointField = PairField(potential, spins, one_body)
     except Exception as exc:
         raise ModelFileError(str(exc), onebody[0][0] if onebody else 1)
 

@@ -7,9 +7,9 @@ import random
 
 from spincorr import (
     Configuration,
+    PairField,
     PairPotential,
     SpinSpace,
-    pair_potential_field,
 )
 
 SPINS2 = SpinSpace(("0", "1"))
@@ -24,7 +24,7 @@ def chain_field(j: float, spins: SpinSpace = SPINS2, radius: int = 1):
             for b in spins.star_indices:
                 entries[((off,), a, b)] = j
     pot = PairPotential.create(1, radius, entries, spins)
-    return pair_potential_field(pot, spins)
+    return PairField(pot, spins)
 
 
 def grid_field(j: float, spins: SpinSpace = SPINS2):
@@ -35,7 +35,7 @@ def grid_field(j: float, spins: SpinSpace = SPINS2):
             for b in spins.star_indices:
                 entries[(off, a, b)] = j
     pot = PairPotential.create(2, 1, entries, spins)
-    return pair_potential_field(pot, spins)
+    return PairField(pot, spins)
 
 
 def random_pair_field(
@@ -63,7 +63,7 @@ def random_pair_field(
                     continue
                 entries[key] = rng.uniform(-max_coupling, max_coupling)
     pot = PairPotential.create(dimension, radius, entries, spins)
-    return pair_potential_field(pot, spins)
+    return PairField(pot, spins)
 
 
 def singleton(site: tuple, spin: int = 1) -> Configuration:

@@ -376,6 +376,56 @@ class TestBoundsCommand:
         assert "remark1 = FAIL" in proc.stdout
 
 
+def range_model(offset: int, coupling: int, onebody: int) -> str:
+    return (
+        "dimension = 1\n"
+        "spins = 0 1\n"
+        "vacuum = 0\n"
+        f"range = {offset}\n"
+        f"coupling ({offset}) 1 1 = {coupling}\n"
+        f"onebody 1 = {onebody}\n"
+    )
+
+
+class TestExponentRange:
+    COMMANDS = {
+        "exact": ["exact", "--window=0:1"],
+        "converge": ["converge", "--window=0:2;0:3", "--override-gate"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("onebody", [300, -300])
+    @pytest.mark.parametrize("coupling", [800, -800])
+    @pytest.mark.parametrize("offset", [1, 2])
+    def test_ends_in_a_documented_exit_code(
+        self, tmp_path, capsys, offset, coupling, onebody, command
+    ):
+        path = write_model(tmp_path, range_model(offset, coupling, onebody))
+        code = cli.main([*self.COMMANDS[command], "--model", path])
+        assert isinstance(code, int) and 0 <= code <= 5
+
+    def test_oracle_kernel_overflow_is_exit_two(self, tmp_path, capsys):
+        # the table enumerates, but the oracle's kernel factor is exp(800)
+        path = write_model(tmp_path, range_model(1, -800, 300))
+        assert cli.main([*self.COMMANDS["exact"], "--model", path]) == 2
+        _, err = capsys.readouterr()
+        assert err.strip().splitlines() == [
+            "error: kernel exponent 800.0 exceeds the safe exponent range "
+            "(+/-700.0); rescale the couplings"
+        ]
+
+    def test_tail_bound_overflow_falls_back_to_the_trivial_bound(
+        self, tmp_path, capsys
+    ):
+        path = write_model(tmp_path, range_model(2, 800, -300))
+        assert cli.main([*self.COMMANDS["converge"], "--model", path]) == 0
+        out, _ = capsys.readouterr()
+        size, depth, deviation, epsilon = out.strip().splitlines()[-1].split(",")[:4]
+        assert (size, depth) == ("3", "2")
+        assert float(epsilon) == 2.0  # 2 / (1 - k) with k ~ 0, times delta_norm 1
+        assert float(deviation) <= float(epsilon)
+
+
 class TestCommonFlags:
     COMMANDS = {
         "verify": ["verify", "--instances", "5"],

@@ -484,6 +484,15 @@ class TestCorrelationEquation:
         with pytest.raises(EnvironmentConditionError):
             verify_correlation_equation(field, window, table)
 
+    def test_nan_residual_fails(self, monkeypatch):
+        field = chain_field(0.045)
+        window = chain_window(3)
+        table = rho_exact(field, window)
+        monkeypatch.setattr(exact, "correlation_rhs", lambda *args: math.nan)
+        report = verify_correlation_equation(field, window, table)
+        assert not report.passed
+        assert report.max_residual == math.inf
+
 
 class TestTableIO:
     def test_round_trip_exact(self, tmp_path):

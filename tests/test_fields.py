@@ -8,6 +8,7 @@ from spincorr import (
     Configuration,
     EMPTY_CONFIG,
     ModelDefinitionError,
+    PairField,
     PairPotential,
     PerturbedField,
     SpinSpace,
@@ -20,7 +21,6 @@ from spincorr import (
     delta_volume,
     field_bounds,
     norm_delta1,
-    pair_potential_field,
     pair_potential_norm,
     remark1_sufficiency,
 )
@@ -97,7 +97,7 @@ class TestPairFieldEval:
 
     def test_onebody_enters_swap(self):
         pot = PairPotential.create(1, 1, {}, SPINS2)
-        f = pair_potential_field(pot, SPINS2, one_body=(0.0, 0.4))
+        f = PairField(pot, SPINS2, one_body=(0.0, 0.4))
         up = f.eval((0,), {}, 1, 0)
         down = f.eval((0,), {}, 0, 1)
         assert up == pytest.approx(-down, abs=1e-15)
@@ -126,7 +126,7 @@ class TestIdentities:
         pot = PairPotential.create(
             2, 1, {((-1, 1), 1, 1): 0.7, ((1, 1), 1, 1): 1e300}, spins
         )
-        field = pair_potential_field(pot, spins)
+        field = PairField(pot, spins)
         rng = random.Random(5)
         for report in (
             check_field_consistency(field, field_plan_random(field, rng, 300)),

@@ -13,7 +13,6 @@ from spincorr import (
     distance_to_complement,
     enumerate_configs,
     interior,
-    set_distance,
     split_min,
 )
 from spincorr.errors import BudgetExceededError, ModelDefinitionError
@@ -27,7 +26,6 @@ class TestSpinSpace:
         assert spins.star_indices == (1, 2)
         assert spins.indices == (0, 1, 2)
         assert spins.index_of("+") == 1
-        assert spins.label(2) == "-"
 
     def test_nonzero_vacuum(self):
         spins = SpinSpace(("a", "b"), vacuum_index=1)
@@ -48,7 +46,6 @@ class TestConfiguration:
     def test_sorted_items(self):
         c = Configuration((((3,), 1), ((0,), 2), ((1,), 1)))
         assert c.items == (((0,), 2), ((1,), 1), ((3,), 1))
-        assert c.min_site() == (0,)
 
     def test_duplicate_site_rejected(self):
         with pytest.raises(DomainError):
@@ -58,13 +55,6 @@ class TestConfiguration:
         c = Configuration((((0, 0), 1), ((2, 1), 1)))
         assert c.support == frozenset({(0, 0), (2, 1)})
         assert c.mapping[(2, 1)] == 1
-        assert c.get((5, 5)) is None
-        assert c.spin_at((5, 5), 0) == 0
-
-    def test_restrict_without(self):
-        c = Configuration((((0,), 1), ((1,), 2), ((2,), 1)))
-        assert c.restrict([(0,), (2,)]).items == (((0,), 1), ((2,), 1))
-        assert c.without((1,)).items == (((0,), 1), ((2,), 1))
 
     def test_equality_and_hash(self):
         a = Configuration((((0,), 1), ((1,), 1)))
@@ -89,20 +79,13 @@ class TestConfiguration:
 
     def test_lexicographic_min_site_2d(self):
         c = Configuration((((1, 0), 1), ((0, 5), 1)))
-        assert c.min_site() == (0, 5)
+        assert split_min(c)[0] == (0, 5)
 
 
 class TestGeometry:
     def test_chebyshev(self):
         assert chebyshev_distance((0, 0), (2, 3)) == 3
         assert chebyshev_distance((5,), (5,)) == 0
-
-    def test_set_distance(self):
-        assert set_distance([(0,)], [(4,)]) == 4
-        assert set_distance([(0,), (3,)], [(4,), (9,)]) == 1
-        assert set_distance([(0,)], [(0,)]) == 0
-        with pytest.raises(DomainError):
-            set_distance([], [(0,)])
 
     def test_box_and_ball(self):
         assert len(box((-2,), (2,))) == 5
@@ -148,7 +131,7 @@ class TestEnumeration:
     def test_budget(self):
         spins = SpinSpace(("0", "1"))
         with pytest.raises(BudgetExceededError):
-            list(enumerate_configs(box((0,), (29,)), spins, budget=2 ** 10))
+            list(enumerate_configs(box((0,), (29,)), spins))
 
     def test_deterministic_order(self):
         spins = SpinSpace(("0", "1"))

@@ -14,11 +14,12 @@ from spincorr import (
     EMPTY_CONFIG,
     EnvironmentConditionError,
     GateNotCertifiedError,
+    PairField,
     PairPotential,
     SolverDivergenceError,
-    pair_potential_field,
     rho_exact,
     solver,
+    verify_correlation_equation,
 )
 from spincorr.exact import CorrelationTable, correlation_rhs
 from spincorr.fields import (
@@ -207,7 +208,7 @@ class TestOperatorApplication:
         # of the range-2 ball have all kernel factors 0 and leave the J-sum,
         # while the distance-1 sites couple for some spin pairs only
         pot = PairPotential.create(1, 2, {((1,), 1, 1): 0.3}, SPINS3)
-        field = pair_potential_field(pot, SPINS3)
+        field = PairField(pot, SPINS3)
         assert_rows_match_oracle(random.Random(7), field, chain_window(4))
 
     def test_exact_table_is_fixed_point(self):
@@ -298,7 +299,7 @@ class TestRowTemplates:
 
     @staticmethod
     def contexts() -> list:
-        sparse = pair_potential_field(
+        sparse = PairField(
             PairPotential.create(1, 2, {((1,), 1, 1): 0.3}, SPINS2), SPINS2
         )
         grid = frozenset((i, j) for i in range(3) for j in range(3))
@@ -439,9 +440,16 @@ class TestGates:
         assert report.overridden
 
     def test_environment_gate(self):
+        # the solver and the oracle share one gate: same refusal, same witness
         field = TripleInteractionField(chain_field(0.05), 0.2)
-        with pytest.raises(EnvironmentConditionError):
-            solve_finite_volume(field, chain_window(3), override_gate=True)
+        window = chain_window(3)
+        with pytest.raises(EnvironmentConditionError) as solve_err:
+            solve_finite_volume(field, window, override_gate=True)
+        table = rho_exact(field, window, method="marginal")
+        with pytest.raises(EnvironmentConditionError) as oracle_err:
+            verify_correlation_equation(field, window, table)
+        assert str(oracle_err.value) == str(solve_err.value)
+        assert oracle_err.value.witness == solve_err.value.witness
 
     def test_divergence_reported_with_rate(self):
         with pytest.raises(SolverDivergenceError) as err:
@@ -549,6 +557,10 @@ class TestCertificates:
         assert tail_f_bound(field, 2) == 0.0
         zero = ZeroField(SPINS2)
         assert tail_f_bound(zero, 0) == 0.0
+        # a huge coupling saturates inside the radius and still vanishes beyond
+        huge = chain_field(800.0)
+        assert tail_f_bound(huge, 0) == math.inf
+        assert tail_f_bound(huge, 1) == 0.0
         with pytest.raises(DomainError):
             tail_f_bound(field, -1)
 
