@@ -48,6 +48,20 @@ def test_counter_counts_real_jobs(monkeypatch, capsys):
     assert counter.counts["solver.iterations"] > 0
 
 
+def test_counter_counts_repeat_exactly(monkeypatch, capsys):
+    # the benchmark's two count passes must agree; state left behind by one
+    # exact job (a cache outliving its call) would show here
+    tracing = import_tracing(monkeypatch)
+    runs = []
+    for _ in range(2):
+        counter = tracing.Counter()
+        with counter.installed():
+            assert cli.main(JOBS[0]) == 0
+        runs.append(counter.counts)
+    assert runs[0] == runs[1]
+    assert runs[0]["fields.eval_calls"] > 0
+
+
 def test_counter_counts_equal_a_materialized_context(monkeypatch, capsys):
     # the solve job's window 0:3 at the finite-volume k_max
     tracing = import_tracing(monkeypatch)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pathlib
 import re
@@ -542,3 +543,60 @@ class TestDeterminism:
         assert ref_proc.returncode == 0
         assert out.read_bytes() == reference.read_bytes()
         assert proc.stdout == ref_proc.stdout
+
+
+# sha256 of (stdout, --out) recorded before the enumeration walker read its
+# steps from per-call move lists; enumeration speed-ups must keep them
+TABLE_DIGESTS = {
+    ("chain_gated", "exact"): (
+        "226b09d8838c29143ab1d6786405905011a8488c00408ecaae4ea3bfe50f0e15",
+        "316ab5958647b14eb285dbd5130e5091087f439d5ab40e6a2c765d04e05b326d",
+    ),
+    ("chain_j02", "exact"): (
+        "9de709ed2cfb43d63d2ae4cec4b126f34195696fe669b12fa32d8929b55444dd",
+        "4736ec432033a70fe07735715a1e24f8e7f9eca52c6650c7e71b8386251fcd87",
+    ),
+    ("chain_ln2", "exact"): (
+        "018cb9fd55a88fc84d9e1a4f9e24e8f6cafa695bf48031cbeba393744f6b6703",
+        "0131322abe147f7e4d1ef6848b6bb73ea681a0d249a62125c3c59b44f8fc168c",
+    ),
+    ("grid_gated", "exact"): (
+        "2c4559e16edecbca66a48f9c0ea3da7dcd764e8b4ce659b1ce79de33e5bda252",
+        "cbeed1cd1c646b1f7269fbc243acc4a10cfe90d063f88352f0b4411b03e77a1e",
+    ),
+    ("perturbed", "exact"): (
+        "bf316d2a7f286475e8ddb4b5ce5bb2d89b7e7657fe77cb1a12cf3bf4ee1cd421",
+        "bd52bafda49431f63b50085491e60dd46c4b34bb0f547db5d920e79179a8782c",
+    ),
+    ("strong", "exact"): (
+        "6fdce06ba5ccd8c45ea64803aa808a2288f50e0a15a2ef827cdf00b7055bf3bc",
+        "c15c61d610c3651066c11d92a96a7b75eb1d5ca449fea0f4c9bee8b67fccf55d",
+    ),
+    ("zero_field", "exact"): (
+        "0be1548f4908b71d3ca3454c5f8898ca8c0135e90ba3580ca8a7e7e7b9613050",
+        "3fc2273ea909fce0a4f107a5d255b006e7e3a0b6aa389baf5e8ef391b02e91f3",
+    ),
+    ("chain_gated", "converge"): (
+        "2791e613665404644eefe847eaab9bbb8e53534206a99c7c4066391615f9d562",
+        "58cfc0c3d9aa2fefff3a8e4a7262061bfdb06a0b06a5c092861c56ab6204f795",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(TABLE_DIGESTS))
+def test_outputs_keep_their_bytes(tmp_path, name, command):
+    path = MODELS / f"{name}.model"
+    if command == "converge":
+        window = "0:4;0:8"
+    elif "dimension = 2" in path.read_text(encoding="utf-8"):
+        window = "0,0:2,2"
+    else:
+        window = "0:7"
+    out = tmp_path / "out.csv"
+    proc = run_cli(command, "--model", str(path), f"--window={window}", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    digests = (
+        hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest(),
+        hashlib.sha256(out.read_bytes()).hexdigest(),
+    )
+    assert digests == TABLE_DIGESTS[name, command]

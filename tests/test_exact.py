@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -44,6 +45,7 @@ LN2 = math.log(2.0)
 WINDOW2 = ((0,), (1,))
 # three spins with the vacuum in the middle of the alphabet
 SPINS3_MID = SpinSpace(("a", "0", "b"), vacuum_index=1)
+SPINS4 = SpinSpace(("a", "b", "0", "c"), vacuum_index=2)
 
 
 def chain_window(n: int) -> tuple:
@@ -256,6 +258,177 @@ class TestVolumeWalker:
         assert capped == full
 
 
+class ThreeBodyField(OnePointField):
+    """A plane pair field plus `strength` on every L-shaped triple
+    {s, s + (1, 0), s + (0, 1)} whose three spins all take the mark.
+    Consistent, unlike TripleInteractionField, and its swap energy depends
+    on pairs of ball spins, not on each ball spin alone."""
+
+    def __init__(self, base, strength):
+        self.base = base
+        self.spins = base.spins
+        self.dimension = 2
+        self.radius = base.radius
+        self.homogeneous = True
+        self.strength = strength
+        self.mark = base.spins.star_indices[0]
+
+    def eval(self, t, boundary, x, u):
+        value = self.base.eval(t, boundary, x, u)
+        du, dx = u == self.mark, x == self.mark
+        if du == dx:
+            return value
+        i, j = t
+
+        def marked(a, b):
+            return boundary.get((i + a, j + b)) == self.mark
+
+        triples = (
+            (marked(1, 0) and marked(0, 1))
+            + (marked(-1, 0) and marked(-1, 1))
+            + (marked(0, -1) and marked(1, -1))
+        )
+        return value + self.strength * (du - dx) * triples
+
+
+def consistent_field(kind, rng, dimension, spins):
+    """A random pair field, with a one-body term at one site ("one-body")
+    or the L-shaped triples ("three-body") on top."""
+    pair = random_pair_field(rng, dimension, spins, 1, max_coupling=0.4)
+    if kind == "three-body":
+        return ThreeBodyField(pair, 0.3)
+    if kind == "one-body":
+        # h = 0.3 on the first star spin at one site: every swap into that
+        # spin gains 0.3, every swap out of it loses 0.3
+        site, star, field = (1,) * dimension, spins.star_indices[0], pair
+        for other in spins.indices:
+            if other != star:
+                field = PerturbedField(field, site, other, star, 0.3)
+                field = PerturbedField(field, site, star, other, -0.3)
+        return field
+    return pair
+
+
+BLOCK_WALKS = {
+    # spins, window, boundary, fixed sites -> spins, field kind
+    # 2**13 positions: four blocks of 2**11, the second and fourth backward
+    "q2-13-free": (
+        SPINS2,
+        chain_window(14),
+        config(((-1,), 1), ((14,), 1)),
+        {(5,): 1},
+        "pair",
+    ),
+    # 3**7 positions: three blocks of 3**6
+    "q3-vacuum-mid-grid": (
+        SPINS3_MID,
+        tuple((i, j) for i in range(2) for j in range(4)),
+        config(((-1, 1), 0), ((2, 3), 2), ((0, 4), 0)),
+        {(1, 2): 0},
+        "three-body",
+    ),
+    # 4**6 positions: four blocks of 4**5
+    "q4-chain": (
+        SPINS4,
+        chain_window(7),
+        config(((-1,), 3), ((7,), 0)),
+        {(3,): 1},
+        "one-body",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_WALKS))
+class TestBlockWalks:
+    """walk() steps through a whole block from the table's move lists."""
+
+    def setup_walk(self, name):
+        spins, window, boundary, fixed_spins, kind = BLOCK_WALKS[name]
+        field = consistent_field(kind, random.Random(name), len(window[0]), spins)
+        fixed = Configuration(fixed_spins.items())
+        free = sorted(s for s in window if s not in fixed_spins)
+        table = _TransitionTable(field, frozenset(window), boundary)
+        return field, _VolumeWalker(table, fixed, free)
+
+    @staticmethod
+    def stepped(walker, start, stop):
+        """(digits, code, delta) by seek(start) and advance() steps."""
+        walker.seek(start)
+        out = []
+        for _ in range(start, stop):
+            out.append((tuple(walker.digits), walker.code, walker.delta))
+            walker.advance()
+        return out
+
+    @staticmethod
+    def walked(walker, start, stop):
+        """(digits, code, delta) from walk(start, stop), digits read off
+        the codes."""
+        q, n = walker.base, len(walker.free_sites)
+        codes: list = []
+        deltas = walker.walk(start, stop, codes)
+        digits = [tuple(c // q ** (n - 1 - p) % q for p in range(n)) for c in codes]
+        return list(zip(digits, codes, deltas))
+
+    def test_blocks_match_seek_and_advance_bit_for_bit(self, name):
+        field, walker = self.setup_walk(name)
+        table = walker.table
+        blocks = table.blocks(len(walker.free_sites))
+        assert len(blocks) >= 3
+        for start, stop in blocks:
+            assert self.walked(walker, start, stop) == self.stepped(
+                walker, start, stop
+            )
+        # both directions of one move list were read, and nothing else
+        b = table.block_digits
+        assert set(table._moves) == {(b, True), (b, False)}
+
+    def test_blocks_track_the_telescoped_energy(self, name):
+        field, walker = self.setup_walk(name)
+        table = walker.table
+        vac = walker.vacuum
+        for start, stop in table.blocks(len(walker.free_sites)):
+            for digits, _, delta in self.walked(walker, start, stop):
+                free = [(s, d) for s, d in zip(walker.free_sites, digits) if d != vac]
+                x = Configuration(list(walker.fixed.items) + free)
+                telescoped = delta_volume(
+                    field, table.window, table.boundary, x, EMPTY_CONFIG
+                )
+                assert abs(delta - telescoped) <= 1e-12
+
+    def test_walk_stays_at_its_start(self, name):
+        field, walker = self.setup_walk(name)
+        start, stop = walker.table.blocks(len(walker.free_sites))[1]
+        walker.seek(start)
+        before = (list(walker.digits), walker.code, walker.delta, list(walker.codes))
+        walker.walk(start, stop)
+        assert (list(walker.digits), walker.code, walker.delta, walker.codes) == before
+
+    def test_rejects_an_unaligned_range(self, name):
+        field, walker = self.setup_walk(name)
+        start, stop = walker.table.blocks(len(walker.free_sites))[1]
+        with pytest.raises(ValueError):
+            walker.walk(start + 1, stop + 1)
+
+
+def test_move_lists_are_built_once_per_call(monkeypatch):
+    built: collections.Counter = collections.Counter()
+    gray_step = exact._gray_step
+
+    def counting(digits, steps, q):
+        built[len(digits)] += 1
+        return gray_step(digits, steps, q)
+
+    monkeypatch.setattr(exact, "_gray_step", counting)
+    # the routes walk 0 .. 12 free sites, in blocks of at most 2**11: a
+    # b-digit list makes 2**b - 1 moves and one call that ends it
+    rho_exact(chain_field(0.2), chain_window(12))
+    assert built == {b: 2**b for b in range(12)}
+    # the lists live on the call's table, not beyond it
+    rho_exact(chain_field(0.2), chain_window(12))
+    assert built == {b: 2 * 2**b for b in range(12)}
+
+
 class TestPartitionFunction:
     def test_two_site_hand_value(self):
         # Weights 1, 1, 1, 1/2 for {}, {0}, {1}, {0,1}: the coupled pair
@@ -384,6 +557,36 @@ class TestRhoExact:
         got = rho_probe(field, window, probes, boundary=boundary)
         for probe in probes:
             assert got[probe] == pytest.approx(a.value(probe), abs=1e-13)
+
+    @pytest.mark.parametrize("kind", ["one-body", "three-body"])
+    def test_routes_agree_beyond_pair_fields(self, kind):
+        # per-site memos (one-body) and non-pair ball dependence
+        # (three-body) on the 3**7 grid of test_routes_agree_across_blocks
+        field = consistent_field(kind, random.Random(kind), 2, SPINS3_MID)
+        window = tuple((i, j) for i in range(3) for j in range(3))[:7]
+        boundary = config(((-1, 0), 0), ((1, 3), 2), ((3, 0), 0), ((2, 1), 0))
+        a = rho_exact(field, window, boundary=boundary, method="marginal")
+        b = rho_exact(field, window, boundary=boundary, method="extension")
+        assert set(a.values) == set(b.values)
+        assert a.partition_value == pytest.approx(b.partition_value, rel=1e-13)
+        assert max(abs(a.values[c] - b.values[c]) for c in a.values) <= 1e-13
+        probes = [
+            config(((1, 1), 0)),
+            config(((0, 0), 0), ((0, 1), 0), ((1, 0), 0)),
+            config(((1, 1), 0), ((1, 2), 2), ((2, 0), 2)),
+        ]
+        got = rho_probe(field, window, probes, boundary=boundary)
+        for probe in probes:
+            assert got[probe] == pytest.approx(a.value(probe), abs=1e-13)
+
+    def test_routes_disagree_on_an_inconsistent_field(self):
+        # TripleInteractionField's volume energy depends on the walk's
+        # path, so the two routes part and the self check refuses it
+        pair = random_pair_field(random.Random(5), 2, SPINS3_MID, 1, 0.4)
+        field = TripleInteractionField(pair, 0.3)
+        window = tuple((i, j) for i in range(3) for j in range(3))[:7]
+        with pytest.raises(DomainError, match="routes disagree"):
+            rho_exact(field, window, boundary=config(((1, 3), 2)))
 
     def test_routes_share_one_transition_table(self):
         # a two-spin chain of radius 1 has 2**2 ball codes and 2**2
