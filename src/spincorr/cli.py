@@ -86,7 +86,12 @@ def _parse_probe_line(line: str, model: Model) -> Configuration:
     sites_text, sep, labels_text = line.partition(",")
     if not sep:
         raise DomainError(f"bad probe line {line!r} (want 'sites,labels')")
-    sites = [tuple(int(c) for c in s.split()) for s in sites_text.split(";") if s]
+    try:
+        sites = [tuple(int(c) for c in s.split()) for s in sites_text.split(";") if s]
+    except ValueError:
+        raise DomainError(
+            f"probe line {line!r}: site coordinates must be integers"
+        ) from None
     labels = [l.strip() for l in labels_text.split(";") if l.strip()]
     if len(sites) != len(labels) or not sites:
         raise DomainError(f"probe line {line!r}: sites and labels must pair up")
@@ -431,7 +436,7 @@ def main(argv=None) -> int:
     except (ModelDefinitionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,16 +3,19 @@
 Everything here is brute force on purpose: partition functions, Gibbs
 tables, and correlation functions are computed by walking every
 configuration of the window, and serve as ground truth for the solver.
-The enumeration walks configurations in reflected Gray-code order, so
-each step changes one site and updates the volume energy by one
-single-site transition.  Each enumeration call builds one transition
-table and shares it between its walks, together with the walk set-up:
-window neighbour lists, boundary ball codes and the Gray move lists of
-each block size.  A walk runs in blocks of q**b positions aligned to
-multiples of q**b, q**b the largest power within DEFAULT_BLOCK; each
-block restarts from the telescoped energy of its first configuration, so
-rounding drift cannot accumulate across more than one block, and steps
-through a cached move list in a local loop.
+All of them walk through `_block_weights`, which pins a configuration and
+walks the other window sites in reflected Gray-code order, so each step
+changes one site and updates the volume energy by one single-site
+transition.  Each enumeration call builds one transition table that its
+walks share, with the walk set-up: window neighbour lists, boundary ball
+codes and the Gray move lists.  A walk runs in blocks of q**b positions
+aligned to multiples of q**b, q**b the largest power within
+DEFAULT_BLOCK; each block restarts from the telescoped energy of its
+first configuration, so rounding drift cannot accumulate across more
+than one block, and steps through a cached move list in a local loop.
+The walks assume a volume-consistent field, whose walked energy does not
+depend on the path; only `rho_exact`'s default two-route check refuses
+one that is not.
 
 The correlation-equation checker re-implements the equation it tests
 from its own loops (no code shared with the solver module).
@@ -27,7 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import checks
 from .errors import BudgetExceededError, DomainError
-from .fields import OnePointField, delta_volume
+from .fields import OnePointField
 from .lattice import (
     DEFAULT_ENUM_BUDGET,
     Configuration,
@@ -68,28 +71,22 @@ def _check_budget(required: int, what: str, unit: str = "configurations") -> Non
         )
 
 
-def _guarded_exp(delta: float, what: str = "volume energy") -> float:
-    if abs(delta) > MAX_SAFE_ENERGY:
-        raise DomainError(
-            f"{what} {delta!r} exceeds the safe exponent range "
-            f"(+/-{MAX_SAFE_ENERGY}); rescale the couplings"
-        )
-    return math.exp(delta)
-
-
 def _oracle_exp(exponent: float, what: str) -> float:
     """exp for the oracle's weights and kernel factors: an exponent that
     underflows gives 0, one beyond the safe range is refused."""
     if exponent > MAX_SAFE_ENERGY:
-        _guarded_exp(exponent, what)
+        _exp_all([exponent], what)
     return math.exp(exponent)
 
 
-def _exp_all(deltas: list) -> list:
-    """exp of every volume energy; refuses the block if any lies outside
-    the safe exponent range."""
+def _exp_all(deltas: list, what: str = "volume energy") -> list:
+    """exp of every exponent; refuses them all, naming the largest |value|,
+    if any lies outside the safe exponent range."""
     if max(map(abs, deltas)) > MAX_SAFE_ENERGY:
-        _guarded_exp(max(deltas, key=abs))
+        raise DomainError(
+            f"{what} {max(deltas, key=abs)!r} exceeds the safe exponent range "
+            f"(+/-{MAX_SAFE_ENERGY}); rescale the couplings"
+        )
     return list(map(math.exp, deltas))
 
 
@@ -131,8 +128,7 @@ class _TransitionTable:
             for t in self.order
         }
         shared: dict = {}
-        self.memos = {t: shared if field.homogeneous else {} for t in self.order}
-        self.memo_list = [self.memos[t] for t in self.order]
+        self.memo_list = [shared if field.homogeneous else {} for _ in self.order]
         self.size = 0
         self.neighbours: list = [[] for _ in self.order]
         for j, t in enumerate(self.order):
@@ -367,25 +363,30 @@ class _VolumeWalker:
                 codes.append(code)
         return deltas
 
-    def support_items(self) -> tuple:
-        vac = self.vacuum
-        free = tuple(
-            (site, d) for site, d in zip(self.free_sites, self.digits) if d != vac
-        )
-        if not self.fixed:
-            return free
-        return merge_items(self.fixed.items, free)
 
+def _block_weights(
+    transitions: _TransitionTable,
+    fixed: Configuration,
+    spread: Callable | None = None,
+) -> list:
+    """The one enumeration walk: every configuration that equals `fixed`
+    on its support, with the other window sites free (window order),
+    walked block by block through `map_blocks`.  Returns the fsum of each
+    block's weights exp{Delta_window(x, vacuum)} in block order, and calls
+    `spread(codes, weights)` on each block if given; a code spells the
+    free spins as `_VolumeWalker.code` does."""
+    pinned = fixed.support
+    free = [s for s in transitions.order if s not in pinned]
 
-def _sum_weights(
-    transitions: _TransitionTable, fixed: Configuration, free_sites: Sequence[tuple]
-) -> float:
     def job(start: int, stop: int) -> float:
-        walker = _VolumeWalker(transitions, fixed, free_sites)
-        return math.fsum(_exp_all(walker.walk(start, stop)))
+        walker = _VolumeWalker(transitions, fixed, free)
+        codes = None if spread is None else []
+        weights = _exp_all(walker.walk(start, stop, codes))
+        if spread is not None:
+            spread(codes, weights)
+        return math.fsum(weights)
 
-    partials = map_blocks(job, transitions.blocks(len(free_sites)))
-    return math.fsum(partials)
+    return map_blocks(job, transitions.blocks(len(free)))
 
 
 def partition_function(
@@ -393,11 +394,12 @@ def partition_function(
     window: Iterable[tuple],
     boundary: Configuration = EMPTY_CONFIG,
 ) -> float:
-    """Sum of exp{Delta_window(x, vacuum)} over all configurations x."""
+    """Sum of exp{Delta_window(x, vacuum)} over all configurations x.
+    Assumes a volume-consistent field (see the module docstring)."""
     window = frozenset(window)
     _check_budget(field.spins.size ** len(window), "partition function")
     transitions = _TransitionTable(field, window, boundary)
-    return _sum_weights(transitions, EMPTY_CONFIG, transitions.order)
+    return math.fsum(_block_weights(transitions, EMPTY_CONFIG))
 
 
 @dataclass(frozen=True)
@@ -414,65 +416,31 @@ class GibbsTable:
             raise DomainError("configuration lies outside the table window")
         return self.probabilities[config]
 
-    def total(self) -> float:
-        return math.fsum(self.probabilities.values())
-
 
 def gibbs_distribution(
     field: OnePointField,
     window: Iterable[tuple],
     boundary: Configuration = EMPTY_CONFIG,
-    reference: Configuration | None = None,
 ) -> GibbsTable:
-    """Normalized Boltzmann weights exp{Delta_window(x, reference)}.
-
-    The default reference is the vacuum configuration.  Any other full
-    configuration must give the same table (cocycle); we honor an explicit
-    reference by evaluating Delta against it directly, which makes the
-    reference-independence test meaningful.
-    """
+    """Normalized Boltzmann weights exp{Delta_window(x, vacuum)}.  Assumes
+    a volume-consistent field (see the module docstring)."""
     window = frozenset(window)
     _check_budget(field.spins.size ** len(window), "Gibbs table")
-    sites = sorted(window)
-
-    if reference is None:
-        weight_of = None
-    else:
-        if not reference.support <= window:
-            raise DomainError("reference configuration must live on the window")
-
-        def weight_of(config: Configuration) -> float:
-            d = delta_volume(field, window, boundary, config, reference)
-            return _guarded_exp(d)
-
     transitions = _TransitionTable(field, window, boundary)
-    q, vac = transitions.base, transitions.vacuum
+    sites, q, vac = transitions.order, transitions.base, transitions.vacuum
+    table: dict = {}
 
-    def job(start: int, stop: int) -> tuple:
-        walker = _VolumeWalker(transitions, EMPTY_CONFIG, sites)
-        codes: list = []
-        deltas = walker.walk(start, stop, codes)
-        entries = []
-        for code, delta in zip(codes, deltas):
+    def record(codes: list, weights: list) -> None:
+        for code, w in zip(codes, weights):
             items = []
             for site in reversed(sites):
                 code, spin = divmod(code, q)
                 if spin != vac:
                     items.append((site, spin))
-            key = tuple(reversed(items))
-            if weight_of is None:
-                entries.append((key, _guarded_exp(delta)))
-            else:
-                entries.append((key, weight_of(Configuration._make(key))))
-        return entries
+            table[Configuration._make(tuple(reversed(items)))] = w
 
-    table: dict = {}
-    weights = []
-    for entries in map_blocks(job, transitions.blocks(len(sites))):
-        for key, w in entries:
-            table[Configuration._make(key)] = w
-            weights.append(w)
-    z = math.fsum(weights)
+    _block_weights(transitions, EMPTY_CONFIG, record)
+    z = math.fsum(table.values())
     probabilities = {k: w / z for k, w in table.items()}
     return GibbsTable(window, probabilities, z)
 
@@ -506,15 +474,11 @@ def _marginal_numerators(transitions: _TransitionTable) -> tuple:
     q = transitions.base
     weights = [0.0] * q ** len(sites)
 
-    def job(start: int, stop: int) -> float:
-        walker = _VolumeWalker(transitions, EMPTY_CONFIG, sites)
-        codes: list = []
-        block = _exp_all(walker.walk(start, stop, codes))
+    def place(codes: list, block: list) -> None:
         for code, w in zip(codes, block):
             weights[code] = w
-        return math.fsum(block)
 
-    z = math.fsum(map_blocks(job, transitions.blocks(len(sites))))
+    z = math.fsum(_block_weights(transitions, EMPTY_CONFIG, place))
 
     star = transitions.field.spins.star_indices
     table = weights
@@ -538,16 +502,14 @@ def _extension_numerators(transitions: _TransitionTable) -> tuple:
     """Independent route: one enumeration of extensions per target
     configuration, following the defining sum for the correlation value."""
     sites = transitions.order
-    z = _sum_weights(transitions, EMPTY_CONFIG, sites)
+    z = math.fsum(_block_weights(transitions, EMPTY_CONFIG))
     numerators: dict = {}
     star = transitions.field.spins.star_indices
     for k in range(1, len(sites) + 1):
         for support in combinations(sites, k):
-            support_set = frozenset(support)
-            free = [s for s in sites if s not in support_set]
             for assignment in product(star, repeat=k):
                 fixed = Configuration._make(tuple(zip(support, assignment)))
-                numerators[fixed.items] = _sum_weights(transitions, fixed, free)
+                numerators[fixed.items] = math.fsum(_block_weights(transitions, fixed))
     return z, numerators
 
 
@@ -604,24 +566,20 @@ def rho_probe(
 
     Streams the denominator and one numerator per probe without ever
     materializing a table, so it scales to windows where rho_exact would
-    exhaust memory (the enumeration budget still applies)."""
+    exhaust memory (the enumeration budget still applies).  Assumes a
+    volume-consistent field (see the module docstring)."""
     window = frozenset(window)
     _check_budget(field.spins.size ** len(window), "correlation probe")
     transitions = _TransitionTable(field, window, boundary)
-    sites = transitions.order
-    z = _sum_weights(transitions, EMPTY_CONFIG, sites)
+    z = math.fsum(_block_weights(transitions, EMPTY_CONFIG))
     out: dict = {}
     for probe in probes:
         if not probe.support <= window:
-            raise DomainError(
-                f"probe {probe!r} is not supported inside the window"
-            )
+            raise DomainError(f"probe {probe!r} is not supported inside the window")
         if not probe:
             out[probe] = 1.0
             continue
-        free = [s for s in sites if s not in probe.support]
-        num = _sum_weights(transitions, probe, free)
-        out[probe] = num / z
+        out[probe] = math.fsum(_block_weights(transitions, probe)) / z
     return out
 
 
@@ -796,43 +754,42 @@ def write_table(
 
 
 def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
+    """Read a table in the `write_table` format.  A row, or a `window` or
+    `partition_value` header, that does not parse is a DomainError naming
+    its line."""
     headers: dict = {}
     values: dict = {}
-    window: frozenset = frozenset()
-    partition_value = None
+    window = partition_value = None
+    body_seen = False
     with open(path, "r", encoding="utf-8") as fh:
-        body_seen = False
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                text = line[1:].strip()
-                if "=" in text:
-                    key, _, value = text.partition("=")
-                    headers[key.strip()] = value.strip()
-                continue
-            if not body_seen:
-                if line != "support,spins,value":
-                    raise DomainError(f"unexpected table header row: {line!r}")
-                body_seen = True
-                continue
-            sites_text, labels_text, value_text = line.split(",")
-            if sites_text:
-                sites = [_parse_site(s) for s in sites_text.split(";")]
-                labels = labels_text.split(";")
-                items = tuple(
-                    (site, spins.index_of(label))
-                    for site, label in zip(sites, labels)
-                )
-                config = Configuration(items)
-            else:
-                config = EMPTY_CONFIG
-            values[config] = float(value_text)
-    if "window" in headers and headers["window"]:
-        window = frozenset(_parse_site(s) for s in headers["window"].split(";"))
-    else:
-        window = frozenset().union(*(c.support for c in values)) if values else frozenset()
-    if "partition_value" in headers:
-        partition_value = float(headers["partition_value"])
+            try:
+                if line.startswith("#"):
+                    key, sep, value = line[1:].strip().partition("=")
+                    key, value = key.strip(), value.strip()
+                    if not sep:
+                        continue
+                    headers[key] = value
+                    if key == "window":
+                        window = value and frozenset(map(_parse_site, value.split(";")))
+                    elif key == "partition_value":
+                        partition_value = float(value)
+                elif line and body_seen:
+                    sites_text, labels_text, value_text = line.split(",")
+                    config = EMPTY_CONFIG
+                    if sites_text:
+                        sites = map(_parse_site, sites_text.split(";"))
+                        labels = map(spins.index_of, labels_text.split(";"))
+                        config = Configuration(zip(sites, labels, strict=True))
+                    values[config] = float(value_text)
+                elif line:
+                    if line != "support,spins,value":
+                        raise DomainError(f"unexpected table header row: {line!r}")
+                    body_seen = True
+            except ValueError as exc:
+                message = f"{path} line {number}: cannot read {line!r} ({exc})"
+                raise DomainError(message) from None
+    if not window:
+        window = frozenset().union(*(c.support for c in values))
     return CorrelationTable(window, values, partition_value, headers)

@@ -93,3 +93,15 @@ def brute_force_partition(field, window, boundary, delta_volume, vacuum=None):
             math.exp(delta_volume(field, sites, boundary, x, EMPTY_CONFIG))
         )
     return math.fsum(weights)
+
+
+_TABLE = "# window = 0;1\n# partition_value = 3.5\nsupport,spins,value\n,,1.0\n"
+# table files that must be refused, and the line that each one names
+MALFORMED_TABLES = {
+    "two-fields": (_TABLE + "0,1\n", 5),
+    "non-numeric-value": (_TABLE + "0,1,abc\n", 5),
+    "non-integer-site": (_TABLE + "x,1,0.5\n", 5),
+    "unpaired-labels": (_TABLE + "0;1,1,0.5\n", 5),
+    "window-header": (_TABLE.replace("0;1", "0;x"), 1),
+    "partition-header": (_TABLE.replace("3.5", "abc"), 2),
+}

@@ -9,6 +9,8 @@ import pytest
 
 from spincorr import SpinSpace, cli, read_table
 
+from support import MALFORMED_TABLES
+
 ROOT = pathlib.Path(__file__).parent.parent
 MODELS = ROOT / "models"
 
@@ -326,6 +328,16 @@ class TestSolveCommand:
         proc = run_cli("solve", "--model", model("chain_gated"))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("name", sorted(MALFORMED_TABLES))
+    def test_malformed_exact_table_is_exit_two(self, tmp_path, capsys, name):
+        text, line = MALFORMED_TABLES[name]
+        table = tmp_path / "bad.csv"
+        table.write_text(text, encoding="utf-8")
+        argv = ["solve", "--model", model("chain_gated"), "--window=0:1"]
+        assert cli.main([*argv, "--exact", str(table)]) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith("error: ") and f"line {line}:" in err
+
 
 class TestConvergeCommand:
     def test_series_with_probe_file(self, tmp_path):
@@ -347,6 +359,16 @@ class TestConvergeCommand:
         rows = text[text.index(header) + 1 :]
         assert len(rows) == 2
 
+    def test_non_integer_probe_coordinate_is_exit_two(self, tmp_path, capsys):
+        probes = tmp_path / "probes.txt"
+        probes.write_text("x,1\n", encoding="utf-8")
+        argv = ["converge", "--model", model("chain_gated"), "--window=-1:1;-2:2"]
+        assert cli.main([*argv, "--probes", str(probes)]) == 2
+        _, err = capsys.readouterr()
+        assert err.strip().splitlines() == [
+            "error: probe line 'x,1': site coordinates must be integers"
+        ]
+
     def test_needs_two_windows(self):
         proc = run_cli(
             "converge", "--model", model("chain_gated"), "--window=-1:1"
@@ -365,6 +387,13 @@ class TestBoundsCommand:
         proc = run_cli("bounds", "--model", model("chain_j02"))
         assert proc.returncode == 0, proc.stderr
         assert "gate = FAIL" in proc.stdout
+
+    def test_undecodable_input_is_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.model"
+        path.write_bytes(b"dimension = 1\n# \xff\n")
+        assert cli.main(["bounds", "--model", str(path)]) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith("error: ") and "utf-8" in err
 
     @pytest.mark.parametrize("coupling", ["800", "1e300"])
     def test_huge_coupling_saturates(self, tmp_path, coupling):

@@ -32,6 +32,7 @@ from spincorr.lattice import SpinSpace
 from spincorr.lattice import enumerate_configs
 
 from support import (
+    MALFORMED_TABLES,
     SPINS2,
     SPINS3,
     brute_force_partition,
@@ -133,12 +134,20 @@ def ball_key(field, env, site, old, new):
     return (None if field.homogeneous else site, ball, old, new)
 
 
+def support_items(walker) -> tuple:
+    """The non-vacuum spins of the walker's configuration, the fixed part
+    included, in site order."""
+    vac = walker.vacuum
+    free = [(s, d) for s, d in zip(walker.free_sites, walker.digits) if d != vac]
+    return tuple(sorted(walker.fixed.items + tuple(free)))
+
+
 def seek_keys(field, walker):
     """The transitions `seek` telescopes, in window order with the earlier
     sites already vacuum."""
     vac = field.spins.vacuum_index
     env = dict(walker.table.boundary.items)
-    env.update(walker.support_items())
+    env.update(support_items(walker))
     keys = set()
     for t in sorted(walker.table.window):
         keys.add(ball_key(field, env, t, vac, env.pop(t, vac)))
@@ -169,7 +178,7 @@ class TestVolumeWalker:
             keys.update(seek_keys(field.base, walker))
         seen = []
         for position in range(start, total):
-            digits, support = tuple(walker.digits), walker.support_items()
+            digits, support = tuple(walker.digits), support_items(walker)
             delta = walker.delta
             seen.append((digits, support, delta))
             moved = walker.advance()
@@ -251,9 +260,9 @@ class TestVolumeWalker:
         walker.seek(start)
         capped = []
         for _ in range(start, total):
-            capped.append((tuple(walker.digits), walker.support_items(), walker.delta))
+            capped.append((tuple(walker.digits), support_items(walker), walker.delta))
             walker.advance()
-            stored = {id(m): len(m) for m in table.memos.values()}
+            stored = {id(m): len(m) for m in table.memo_list}
             assert table.size == sum(stored.values()) <= 4
         assert capped == full
 
@@ -465,7 +474,7 @@ class TestPartitionFunction:
 class TestGibbsDistribution:
     def test_normalized(self):
         dist = gibbs_distribution(chain_field(0.2), chain_window(5))
-        assert dist.total() == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(dist.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
         assert len(dist.probabilities) == 2**5
 
     def test_two_site_hand_value(self):
@@ -476,14 +485,17 @@ class TestGibbsDistribution:
         assert dist.probability(EMPTY_CONFIG) == pytest.approx(2.0 / 7.0, abs=1e-15)
 
     def test_reference_swap_invariance(self):
+        # p(x) = p(ref) exp{Delta(x, ref)}: the walked weights agree with
+        # the volume energy telescoped against a full reference directly
         field = chain_field(0.3)
         window = chain_window(4)
-        base = gibbs_distribution(field, window)
-        other = gibbs_distribution(
-            field, window, reference=config(*(((i,), 1) for i in range(4)))
-        )
-        for cfg, p in base.probabilities.items():
-            assert other.probability(cfg) == pytest.approx(p, abs=1e-12)
+        boundary = config(((4,), 1))
+        ref = config(*(((i,), 1) for i in range(4)))
+        dist = gibbs_distribution(field, window, boundary)
+        p_ref = dist.probability(ref)
+        for cfg, p in dist.probabilities.items():
+            delta = delta_volume(field, window, boundary, cfg, ref)
+            assert p == pytest.approx(p_ref * math.exp(delta), abs=1e-12)
 
     def test_probability_outside_window(self):
         dist = gibbs_distribution(chain_field(0.2), WINDOW2)
@@ -723,8 +735,14 @@ class TestTableIO:
         for cfg, value in table.values.items():
             assert back.values[cfg] == value
 
-    def test_rejects_malformed_body(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, match",
+        [("# window = 0\nnot-the-header\n", "header row")]
+        + [(text, f"line {line}") for text, line in MALFORMED_TABLES.values()],
+        ids=["header-row", *MALFORMED_TABLES],
+    )
+    def test_rejects_malformed_body(self, tmp_path, text, match):
         path = tmp_path / "bad.csv"
-        path.write_text("# window = 0\nnot-the-header\n", encoding="utf-8")
-        with pytest.raises(DomainError):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DomainError, match=match):
             read_table(str(path), SPINS2)
