@@ -271,10 +271,18 @@ def cmd_solve(args) -> int:
 
     if args.exact:
         exact_table = read_table(args.exact, model.spins)
-        deviations = [0.0]
-        for config, value in exact_table.values.items():
-            if config in solution.values:
-                deviations.append(abs(solution.values[config] - value))
+        sites = exact_table.window.union(*(c.support for c in exact_table.values))
+        for site in sorted(sites):
+            if len(site) != model.dimension:
+                raise DomainError(
+                    f"{args.exact}: site {site!r} is not {model.dimension}-dimensional"
+                )
+        matched = [c for c in exact_table.values if c in solution.values]
+        if not any(matched):
+            raise DomainError(
+                f"{args.exact}: no nonempty entry matches a solved configuration"
+            )
+        deviations = [abs(solution.values[c] - exact_table.values[c]) for c in matched]
         lines.append(f"max_deviation_vs_exact = {max(deviations)!r}")
     _emit(lines, None)
     return 0

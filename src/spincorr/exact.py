@@ -3,19 +3,22 @@
 Everything here is brute force on purpose: partition functions, Gibbs
 tables, and correlation functions are computed by walking every
 configuration of the window, and serve as ground truth for the solver.
-All of them walk through `_block_weights`, which pins a configuration and
-walks the other window sites in reflected Gray-code order, so each step
-changes one site and updates the volume energy by one single-site
-transition.  Each enumeration call builds one transition table that its
-walks share, with the walk set-up: window neighbour lists, boundary ball
-codes and the Gray move lists.  A walk runs in blocks of q**b positions
-aligned to multiples of q**b, q**b the largest power within
-DEFAULT_BLOCK; each block restarts from the telescoped energy of its
-first configuration, so rounding drift cannot accumulate across more
-than one block, and steps through a cached move list in a local loop.
+Each enumeration call builds one transition table of single-site
+energies, with the window neighbour lists and boundary ball codes.  All
+but one route walk through `_block_weights`, which pins a configuration
+and walks the other window sites in reflected Gray-code order, so each
+step changes one site and updates the volume energy by one single-site
+transition; the walks of a call share the table's Gray move lists.  A
+walk runs in blocks of q**b positions aligned to multiples of q**b, q**b
+the largest power within DEFAULT_BLOCK; each block restarts from the
+telescoped energy of its first configuration, so rounding drift cannot
+accumulate across more than one block, and steps through a cached move
+list in a local loop.  The exception is `rho_exact`'s extension route,
+which shares only the table: `_telescoped_weights` sums every
+configuration's energy in telescoping order, without a walk.
 The walks assume a volume-consistent field, whose walked energy does not
 depend on the path; only `rho_exact`'s default two-route check refuses
-one that is not.
+one that is not, because its routes then part.
 
 The correlation-equation checker re-implements the equation it tests
 from its own loops (no code shared with the solver module).
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import checks
@@ -498,18 +501,75 @@ def _marginal_numerators(transitions: _TransitionTable) -> tuple:
     return z, numerators
 
 
+def _telescoped_weights(transitions: _TransitionTable) -> list:
+    """exp{Delta_window(x, vacuum)} of every window configuration x, by
+    `code` (first window site most significant), from one depth-first pass
+    that places the spins in reverse window order: each term is the
+    table's energy of one site leaving the vacuum with the later sites
+    placed and the earlier ones vacuum, as `seek` telescopes, and each
+    partial sum is shared by every configuration that extends it."""
+    n = len(transitions.order)
+    q, vac = transitions.base, transitions.vacuum
+    energy = transitions.energy
+    neighbours = transitions.neighbours
+    codes = list(transitions.boundary_codes)
+    places = [q ** (n - 1 - k) for k in range(n)]
+    deltas = [0.0] * q**n
+
+    def place(k: int, code: int, delta: float) -> None:
+        ball = codes[k]
+        for b in range(q):
+            c = code + b * places[k]
+            d = delta if b == vac else delta + energy(k, ball, vac, b)
+            if not k:
+                deltas[c] = d
+                continue
+            shift = b - vac
+            for j, p in neighbours[k]:
+                codes[j] += shift * p
+            place(k - 1, c, d)
+            for j, p in neighbours[k]:
+                codes[j] -= shift * p
+
+    if n:
+        place(n - 1, 0, 0.0)
+    return _exp_all(deltas)
+
+
 def _extension_numerators(transitions: _TransitionTable) -> tuple:
-    """Independent route: one enumeration of extensions per target
-    configuration, following the defining sum for the correlation value."""
+    """Independent route: each target configuration's numerator is the
+    fsum of the weights of its extensions, the defining sum, read from
+    `_telescoped_weights` and not from any walk.  With p the target's last
+    pinned site, its extensions are the runs of q**(n - 1 - p) consecutive
+    codes that start at each spin choice on the free sites before p; the
+    targets are visited depth first over the window, so the run starts of
+    a prefix of pinned and free sites are built once."""
     sites = transitions.order
-    z = math.fsum(_block_weights(transitions, EMPTY_CONFIG))
-    numerators: dict = {}
+    n = len(sites)
+    q = transitions.base
+    weights = _telescoped_weights(transitions)
+    z = math.fsum(weights)
+    places = [q ** (n - 1 - p) for p in range(n)]
     star = transitions.field.spins.star_indices
-    for k in range(1, len(sites) + 1):
-        for support in combinations(sites, k):
-            for assignment in product(star, repeat=k):
-                fixed = Configuration._make(tuple(zip(support, assignment)))
-                numerators[fixed.items] = math.fsum(_block_weights(transitions, fixed))
+    numerators: dict = {}
+
+    def pin(p: int, starts: list, base: int, items: tuple) -> None:
+        # targets whose pins before p are `items` (spelling `base`), with
+        # the free sites before p spelt by `starts`
+        run = places[p]
+        for b in star:
+            code = base + b * run
+            pinned = items + ((sites[p], b),)
+            runs = [weights[code + s : code + s + run] for s in starts]
+            numerators[pinned] = math.fsum(chain.from_iterable(runs))
+            if p + 1 < n:
+                pin(p + 1, starts, code, pinned)
+        if p + 1 < n:
+            spins = [b * run for b in range(q)]
+            pin(p + 1, [s + d for s in starts for d in spins], base, items)
+
+    if n:
+        pin(0, [0], 0, ())
     return z, numerators
 
 
@@ -521,10 +581,11 @@ def rho_exact(
 ) -> CorrelationTable:
     """Full correlation table over the window.
 
-    method "marginal" distributes each Boltzmann weight to all
-    restrictions of its configuration; "extension" enumerates extensions
-    per target configuration; "both" (default) computes the table both
-    ways and insists they agree within SELF_CHECK_TOL.
+    method "marginal" distributes each walked Boltzmann weight to all
+    restrictions of its configuration; "extension" sums the telescoped
+    weights of each target configuration's extensions; "both" (default)
+    computes the table both ways and insists they agree within
+    SELF_CHECK_TOL.
     """
     window = frozenset(window)
     spins = field.spins

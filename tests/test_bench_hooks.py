@@ -4,7 +4,7 @@ when those names move, or only the traced benchmark run would notice."""
 
 import pathlib
 
-from spincorr import cli, solver
+from spincorr import EMPTY_CONFIG, cli, exact, solver
 from spincorr.modelfile import load_model
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -96,3 +96,17 @@ def test_tracer_spans_real_jobs(monkeypatch, capsys):
         "solver.direct",
         "solver.certificate",
     } <= names
+
+
+def test_exact_job_blocks_are_the_marginal_walk(monkeypatch, capsys):
+    # the benchmark's exact job: only the marginal route walks, through
+    # map_blocks; the extension route reads one telescoped weight pass
+    tracing = import_tracing(monkeypatch)
+    counter = tracing.Counter()
+    with counter.installed():
+        assert cli.main(["exact", "--model", MODEL, "--window=0:11"]) == 0
+    window = frozenset((i,) for i in range(12))
+    table = exact._TransitionTable(load_model(MODEL).field, window, EMPTY_CONFIG)
+    marginal = table.blocks(len(window))
+    assert len(marginal) == 2
+    assert counter.counts["parallel.blocks"] == len(marginal)

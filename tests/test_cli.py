@@ -338,6 +338,37 @@ class TestSolveCommand:
         _, err = capsys.readouterr()
         assert err.startswith("error: ") and f"line {line}:" in err
 
+    # tables the comparison cannot use: before, each printed
+    # max_deviation_vs_exact = 0.0 and exited 0
+    UNMATCHED_TABLES = {
+        "two-dimensional": ("0 0,1,0.9\n0 1,1,0.9\n", "not 1-dimensional"),
+        "mixed-dimension": ("0,1,0.3\n0 1,1,0.9\n", "not 1-dimensional"),
+        "vacuum-label-only": ("0,0,0.9\n", "no nonempty entry"),
+        "empty-entry-only": (",,1.0\n", "no nonempty entry"),
+        "outside-the-window": ("5,1,0.2\n", "no nonempty entry"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNMATCHED_TABLES))
+    def test_unmatched_exact_table_is_exit_two(self, tmp_path, capsys, name):
+        rows, message = self.UNMATCHED_TABLES[name]
+        table = tmp_path / "table.csv"
+        table.write_text("support,spins,value\n" + rows, encoding="utf-8")
+        argv = ["solve", "--model", model("chain_gated"), "--window=0:1"]
+        assert cli.main([*argv, "--exact", str(table)]) == 2
+        out, err = capsys.readouterr()
+        assert "max_deviation_vs_exact" not in out
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
+    def test_one_matching_entry_is_compared(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("support,spins,value\n0,0,0.9\n1,1,0.5\n", encoding="utf-8")
+        argv = ["solve", "--model", model("chain_gated"), "--window=0:1"]
+        assert cli.main([*argv, "--exact", str(table)]) == 0
+        out, _ = capsys.readouterr()
+        line = next(l for l in out.splitlines() if l.startswith("max_deviation"))
+        assert 0.0 < float(line.split(" = ")[1]) < 0.5
+
 
 class TestConvergeCommand:
     def test_series_with_probe_file(self, tmp_path):

@@ -429,13 +429,71 @@ def test_move_lists_are_built_once_per_call(monkeypatch):
         return gray_step(digits, steps, q)
 
     monkeypatch.setattr(exact, "_gray_step", counting)
-    # the routes walk 0 .. 12 free sites, in blocks of at most 2**11: a
-    # b-digit list makes 2**b - 1 moves and one call that ends it
-    rho_exact(chain_field(0.2), chain_window(12))
+    # probes pinning 0 .. 12 sites walk 12 .. 0 free sites, in blocks of
+    # at most 2**11: a b-digit list makes 2**b - 1 moves and one call that
+    # ends it
+    window = chain_window(12)
+    probes = [config(*((s, 1) for s in window[:k])) for k in range(13)]
+    rho_probe(chain_field(0.2), window, probes)
     assert built == {b: 2**b for b in range(12)}
     # the lists live on the call's table, not beyond it
-    rho_exact(chain_field(0.2), chain_window(12))
+    rho_probe(chain_field(0.2), window, probes)
     assert built == {b: 2 * 2**b for b in range(12)}
+
+
+WEIGHT_PASSES = {
+    # spins, window, boundary, field kind
+    "q2-chain": (SPINS2, chain_window(7), EMPTY_CONFIG, "pair"),
+    "q3-grid-boundary": (
+        SPINS3,
+        tuple((i, j) for i in range(2) for j in range(3)),
+        config(((-1, 0), 2), ((2, 2), 1), ((0, 3), 2)),
+        "pair",
+    ),
+    "q4-vacuum-inside": (
+        SPINS4,
+        chain_window(5),
+        config(((-1,), 3), ((5,), 0)),
+        "pair",
+    ),
+    "q3-perturbed": (SPINS3_MID, chain_window(6), config(((6,), 2),), "perturbed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_PASSES))
+def test_telescoped_weights_match_delta_volume(name):
+    spins, window, boundary, kind = WEIGHT_PASSES[name]
+    field = walk_field(kind, random.Random(name), len(window[0]), spins)
+    table = _TransitionTable(field, frozenset(window), boundary)
+    weights = exact._telescoped_weights(table)
+    q, n, vac = spins.size, len(window), spins.vacuum_index
+    assert len(weights) == q**n
+    for code, weight in enumerate(weights):
+        digits = [code // q ** (n - 1 - p) % q for p in range(n)]
+        x = Configuration((s, d) for s, d in zip(table.order, digits) if d != vac)
+        expected = math.exp(delta_volume(field, window, boundary, x, EMPTY_CONFIG))
+        assert weight == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_extension_route_walks_nothing(monkeypatch):
+    # the extension route shares only the transition table with the
+    # marginal route: no walker, so a path-dependent walk cannot agree
+    # with itself
+    built = []
+    init = _VolumeWalker.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(_VolumeWalker, "__init__", counting)
+    field = random_pair_field(random.Random(3), 1, SPINS3, 1, max_coupling=0.3)
+    table = _TransitionTable(field, frozenset(chain_window(5)), EMPTY_CONFIG)
+    z, numerators = exact._extension_numerators(table)
+    assert built == []
+    assert len(numerators) == 3**5 - 1 and z > 0
+    rho_exact(field, chain_window(5), method="marginal")
+    assert built  # the counter sees the walks that do run
 
 
 class TestPartitionFunction:
