@@ -3,19 +3,19 @@
 Everything here is brute force on purpose: partition functions, Gibbs
 tables, and correlation functions are computed by walking every
 configuration of the window, and serve as ground truth for the solver.
-Each enumeration call builds one transition table of single-site
-energies, with the window neighbour lists and boundary ball codes.  All
-but one route walk through `_block_weights`, which pins a configuration
-and walks the other window sites in reflected Gray-code order, so each
-step changes one site and updates the volume energy by one single-site
-transition; the walks of a call share the table's Gray move lists.  A
-walk runs in blocks of q**b positions aligned to multiples of q**b, q**b
-the largest power within DEFAULT_BLOCK; each block restarts from the
-telescoped energy of its first configuration, so rounding drift cannot
-accumulate across more than one block, and steps through a cached move
-list in a local loop.  The exception is `rho_exact`'s extension route,
-which shares only the table: `_telescoped_weights` sums every
-configuration's energy in telescoping order, without a walk.
+Each enumeration builds one transition table of single-site energies.
+All but one route walk the table's whole window through `_block_weights`
+in reflected Gray-code order, so each step changes one site and updates
+the volume energy by one single-site transition.  A walk runs in blocks
+of q**b positions aligned to multiples of q**b, q**b the largest power
+within DEFAULT_BLOCK; each block restarts from the telescoped energy of
+its first configuration, so rounding drift cannot accumulate across more
+than one block, and steps through the table's cached Gray move list in
+a local loop.  `rho_probe` pins no walk: a probe's numerator is a
+partition function with the probe moved into the boundary.  The
+exception is `rho_exact`'s extension route, which shares only the table:
+`_telescoped_weights` sums every configuration's energy in telescoping
+order, without a walk.
 The walks assume a volume-consistent field, whose walked energy does not
 depend on the path; only `rho_exact`'s default two-route check refuses
 one that is not, because its routes then part.
@@ -33,13 +33,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import checks
 from .errors import BudgetExceededError, DomainError
-from .fields import OnePointField
+from .fields import OnePointField, delta_volume
 from .lattice import (
     DEFAULT_ENUM_BUDGET,
     Configuration,
     EMPTY_CONFIG,
     SpinSpace,
     ball,
+    concat,
     merge_items,
     split_min,
 )
@@ -95,7 +96,7 @@ def _exp_all(deltas: list, what: str = "volume energy") -> list:
 
 class _TransitionTable:
     """The one-point transition energies of a window, evaluated once each,
-    and the walk set-up that every enumeration of one call shares.
+    and the walk set-up that every walk of the window shares.
 
     A swap energy at a window site depends only on the old and new spins
     and the spins on the site's ball (`balls`, in `field.ball_offsets()`
@@ -119,10 +120,9 @@ class _TransitionTable:
             if s in window:
                 raise DomainError(f"boundary overlaps the window at {s!r}")
         self.field = field
-        self.window = window
         self.boundary = boundary
         self.order = sorted(window)
-        self.index = {t: k for k, t in enumerate(self.order)}
+        index = {t: k for k, t in enumerate(self.order)}
         q = self.base = field.spins.size
         self.vacuum = field.spins.vacuum_index
         offsets = field.ball_offsets()
@@ -136,7 +136,7 @@ class _TransitionTable:
         self.neighbours: list = [[] for _ in self.order]
         for j, t in enumerate(self.order):
             for i, s in enumerate(self.balls[t]):
-                k = self.index.get(s)
+                k = index.get(s)
                 if k is not None:
                     self.neighbours[k].append((j, q**i))
         env = dict(boundary.items)
@@ -205,8 +205,9 @@ class _TransitionTable:
             self._moves[key] = moves
         return moves
 
-    def blocks(self, n: int) -> list:
-        """The aligned walk blocks over the q**n positions of n free sites."""
+    def blocks(self) -> list:
+        """The aligned walk blocks over the q**n positions of the window."""
+        n = len(self.order)
         return block_ranges(self.base**n, self.base ** min(n, self.block_digits))
 
 
@@ -226,42 +227,31 @@ def _gray_step(digits: list, steps: list, q: int) -> int:
 
 
 class _VolumeWalker:
-    """Reflected Gray-code walk over the spins of `free_sites` inside the
-    table's window.
+    """Reflected Gray-code walk over every configuration of a table's window.
 
     Walk position i holds the i-th word of the reflected q-ary Gray code,
-    first free site most significant, so consecutive configurations differ
-    at exactly one site by one spin index.  Tracks the full-volume energy
-    Delta_window(current, vacuum) with the table's boundary and the frozen
-    `fixed` part of the configuration, and `code`, the base-q number the
-    spin indices spell in site order.  `seek` recomputes the energy from
-    scratch (telescoping); `advance` adds one table entry and updates the
-    ball codes (`codes`, by window position) of the sites whose balls hold
-    the moved one.  `walk` yields a whole aligned block of q**b positions:
+    whose digit k is the spin of window site k (first site most
+    significant), so consecutive configurations differ at exactly one site
+    by one spin index.  Tracks the full-volume energy Delta_window(current,
+    vacuum) with the table's boundary, and `code`, the base-q number the
+    digits spell.  `seek` recomputes the energy from scratch
+    (telescoping); `advance` adds one table entry and updates the ball
+    codes (`codes`, by window position) of the sites whose balls hold the
+    moved one.  `walk` yields a whole aligned block of q**b positions:
     inside it only the lowest b digits move, through the table's cached
     b-digit move list, in a local loop that makes no method call per step.
     """
 
-    def __init__(
-        self,
-        table: _TransitionTable,
-        fixed: Configuration,
-        free_sites: Sequence[tuple],
-    ):
+    def __init__(self, table: _TransitionTable):
         self.table = table
-        self.fixed = fixed
-        self.free_sites = tuple(free_sites)
-        if not fixed.support.union(self.free_sites) <= table.window:
-            raise DomainError("walked configurations must lie inside the window")
         self.base = table.base
         self.vacuum = table.vacuum
-        n = len(self.free_sites)
+        n = len(table.order)
         self.digits = [0] * n
         self.steps = [1] * n
         self.places = [self.base ** (n - 1 - pos) for pos in range(n)]
         self.code = 0
         self.delta = 0.0
-        self.sites = [table.index[t] for t in self.free_sites]
         self.codes: list = []  # set by seek
 
     def seek(self, index: int) -> None:
@@ -287,15 +277,10 @@ class _VolumeWalker:
         self.code = sum(d * p for d, p in zip(digits, self.places))
         table = self.table
         vac = self.vacuum
-        spins = [vac] * len(table.order)
-        for s, b in self.fixed.items:
-            spins[table.index[s]] = b
-        for k, d in zip(self.sites, digits):
-            spins[k] = d
         codes = list(table.boundary_codes)
         terms = []
-        for k in range(len(spins) - 1, -1, -1):
-            new = spins[k]
+        for k in range(len(digits) - 1, -1, -1):
+            new = digits[k]
             if new != vac:
                 terms.append(table.energy(k, codes[k], vac, new))
                 for j, place in table.neighbours[k]:
@@ -313,15 +298,14 @@ class _VolumeWalker:
         step = self.steps[pos]
         new = self.digits[pos]
         self.code += step * self.places[pos]
-        k = self.sites[pos]
         table = self.table
         codes = self.codes
-        code = codes[k]
-        energy = table.memo_list[k].get((code * q + new - step) * q + new)
+        code = codes[pos]
+        energy = table.memo_list[pos].get((code * q + new - step) * q + new)
         if energy is None:
-            energy = table.energy(k, code, new - step, new)
+            energy = table.energy(pos, code, new - step, new)
         self.delta += energy
-        for j, place in table.neighbours[k]:
+        for j, place in table.neighbours[pos]:
             codes[j] += step * place
         return True
 
@@ -339,7 +323,7 @@ class _VolumeWalker:
             raise ValueError(f"[{start}, {stop}) is not an aligned block of {q}**{b}")
         self.seek(start)
         moves = table.moves(b, not any(self.digits[n - b :]))
-        low = self.sites[n - b :][::-1]
+        low = list(range(n - 1, n - 1 - b, -1))
         memos = table.memo_list
         neighbours = table.neighbours
         ball_codes = self.codes[:]
@@ -367,29 +351,22 @@ class _VolumeWalker:
         return deltas
 
 
-def _block_weights(
-    transitions: _TransitionTable,
-    fixed: Configuration,
-    spread: Callable | None = None,
-) -> list:
-    """The one enumeration walk: every configuration that equals `fixed`
-    on its support, with the other window sites free (window order),
-    walked block by block through `map_blocks`.  Returns the fsum of each
-    block's weights exp{Delta_window(x, vacuum)} in block order, and calls
-    `spread(codes, weights)` on each block if given; a code spells the
-    free spins as `_VolumeWalker.code` does."""
-    pinned = fixed.support
-    free = [s for s in transitions.order if s not in pinned]
+def _block_weights(transitions: _TransitionTable, spread=None) -> list:
+    """The one enumeration walk: every configuration of the table's
+    window, walked block by block through `map_blocks`.  Returns the fsum
+    of each block's weights exp{Delta_window(x, vacuum)} in block order,
+    and calls `spread(codes, weights)` on each block if given; a code
+    spells the window's spins as `_VolumeWalker.code` does."""
 
     def job(start: int, stop: int) -> float:
-        walker = _VolumeWalker(transitions, fixed, free)
+        walker = _VolumeWalker(transitions)
         codes = None if spread is None else []
         weights = _exp_all(walker.walk(start, stop, codes))
         if spread is not None:
             spread(codes, weights)
         return math.fsum(weights)
 
-    return map_blocks(job, transitions.blocks(len(free)))
+    return map_blocks(job, transitions.blocks())
 
 
 def partition_function(
@@ -402,7 +379,7 @@ def partition_function(
     window = frozenset(window)
     _check_budget(field.spins.size ** len(window), "partition function")
     transitions = _TransitionTable(field, window, boundary)
-    return math.fsum(_block_weights(transitions, EMPTY_CONFIG))
+    return math.fsum(_block_weights(transitions))
 
 
 @dataclass(frozen=True)
@@ -442,7 +419,7 @@ def gibbs_distribution(
                     items.append((site, spin))
             table[Configuration._make(tuple(reversed(items)))] = w
 
-    _block_weights(transitions, EMPTY_CONFIG, record)
+    _block_weights(transitions, record)
     z = math.fsum(table.values())
     probabilities = {k: w / z for k, w in table.items()}
     return GibbsTable(window, probabilities, z)
@@ -481,7 +458,7 @@ def _marginal_numerators(transitions: _TransitionTable) -> tuple:
         for code, w in zip(codes, block):
             weights[code] = w
 
-    z = math.fsum(_block_weights(transitions, EMPTY_CONFIG, place))
+    z = math.fsum(_block_weights(transitions, place))
 
     star = transitions.field.spins.star_indices
     table = weights
@@ -623,24 +600,29 @@ def rho_probe(
     probes: Sequence[Configuration],
     boundary: Configuration = EMPTY_CONFIG,
 ) -> dict:
-    """Correlation values for selected configurations only.
+    """Correlation values for selected configurations only, without
+    materializing a table (the enumeration budget still applies).
 
-    Streams the denominator and one numerator per probe without ever
-    materializing a table, so it scales to windows where rho_exact would
-    exhaust memory (the enumeration budget still applies).  Assumes a
-    volume-consistent field (see the module docstring)."""
+    For x equal to the probe p on its support, the split identity of
+    checks.check_field_consistency gives Delta_W(x | B) = Delta_p(p | B) +
+    Delta_{W - supp p}(x - p | B + p), so each value is exp Delta_p(p | B)
+    times Z(W - supp p, B + p) over Z(W, B).  Assumes a volume-consistent
+    field (see the module docstring)."""
     window = frozenset(window)
     _check_budget(field.spins.size ** len(window), "correlation probe")
-    transitions = _TransitionTable(field, window, boundary)
-    z = math.fsum(_block_weights(transitions, EMPTY_CONFIG))
+    z = partition_function(field, window, boundary)
     out: dict = {}
     for probe in probes:
-        if not probe.support <= window:
+        support = probe.support
+        if not support <= window:
             raise DomainError(f"probe {probe!r} is not supported inside the window")
         if not probe:
             out[probe] = 1.0
             continue
-        out[probe] = math.fsum(_block_weights(transitions, probe)) / z
+        delta = delta_volume(field, support, boundary, probe, EMPTY_CONFIG)
+        (weight,) = _exp_all([delta])
+        rest = partition_function(field, window - support, concat(boundary, probe))
+        out[probe] = weight * rest / z
     return out
 
 
@@ -816,8 +798,8 @@ def write_table(
 
 def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
     """Read a table in the `write_table` format.  A row, or a `window` or
-    `partition_value` header, that does not parse is a DomainError naming
-    its line."""
+    `partition_value` header, that does not parse, and a row whose value
+    is not finite, is a DomainError naming its line."""
     headers: dict = {}
     values: dict = {}
     window = partition_value = None
@@ -843,7 +825,9 @@ def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
                         sites = map(_parse_site, sites_text.split(";"))
                         labels = map(spins.index_of, labels_text.split(";"))
                         config = Configuration(zip(sites, labels, strict=True))
-                    values[config] = float(value_text)
+                    if not math.isfinite(value := float(value_text)):
+                        raise ValueError(f"value {value!r} is not finite")
+                    values[config] = value
                 elif line:
                     if line != "support,spins,value":
                         raise DomainError(f"unexpected table header row: {line!r}")

@@ -102,6 +102,7 @@ MALFORMED_TABLES = {
     "non-numeric-value": (_TABLE + "0,1,abc\n", 5),
     "non-integer-site": (_TABLE + "x,1,0.5\n", 5),
     "unpaired-labels": (_TABLE + "0;1,1,0.5\n", 5),
+    "non-finite-value": (_TABLE + "0,1,nan\n", 5),
     "window-header": (_TABLE.replace("0;1", "0;x"), 1),
     "partition-header": (_TABLE.replace("3.5", "abc"), 2),
 }

@@ -107,6 +107,6 @@ def test_exact_job_blocks_are_the_marginal_walk(monkeypatch, capsys):
         assert cli.main(["exact", "--model", MODEL, "--window=0:11"]) == 0
     window = frozenset((i,) for i in range(12))
     table = exact._TransitionTable(load_model(MODEL).field, window, EMPTY_CONFIG)
-    marginal = table.blocks(len(window))
+    marginal = table.blocks()
     assert len(marginal) == 2
     assert counter.counts["parallel.blocks"] == len(marginal)

@@ -338,6 +338,24 @@ class TestSolveCommand:
         _, err = capsys.readouterr()
         assert err.startswith("error: ") and f"line {line}:" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+    def test_non_finite_value_is_exit_two_in_either_order(
+        self, tmp_path, capsys, value, first
+    ):
+        # a NaN entry used to print max_deviation_vs_exact = nan when it
+        # came first and a finite deviation when it came last, both exit 0
+        rows = [f"0,1,{value}", "1,1,0.5"]
+        if not first:
+            rows.reverse()
+        table = tmp_path / "table.csv"
+        table.write_text("support,spins,value\n" + "\n".join(rows) + "\n")
+        argv = ["solve", "--model", model("chain_gated"), "--window=0:1"]
+        assert cli.main([*argv, "--exact", str(table)]) == 2
+        _, err = capsys.readouterr()
+        line = 2 if first else 3
+        assert f"line {line}:" in err and "not finite" in err
+
     # tables the comparison cannot use: before, each printed
     # max_deviation_vs_exact = 0.0 and exited 0
     UNMATCHED_TABLES = {
@@ -425,6 +443,30 @@ class TestBoundsCommand:
         assert cli.main(["bounds", "--model", str(path)]) == 2
         _, err = capsys.readouterr()
         assert err.startswith("error: ") and "utf-8" in err
+
+    def test_pair_norm_beyond_the_scan_budget(self, tmp_path, capsys, monkeypatch):
+        # a 2-d range-2 ball holds 24 boundary sites: 3**24 patterns are
+        # beyond NORM_SCAN_BUDGET, so the norm comes from the pair bound
+        from spincorr.fields import NORM_SCAN_BUDGET, PairField
+
+        assert 3**24 > NORM_SCAN_BUDGET
+        calls = []
+        exact_norm = PairField.norm_bound_exact
+
+        def counting(self):
+            calls.append(self)
+            return exact_norm(self)
+
+        monkeypatch.setattr(PairField, "norm_bound_exact", counting)
+        path = tmp_path / "range2.model"
+        path.write_text(
+            "dimension = 2\nspins = 0 1 2\nvacuum = 0\nrange = 2\n"
+            "coupling (1,0) 1 1 = 0.01\ncoupling (0,2) 1 2 = -0.005\n"
+            "coupling (2,1) 2 2 = 0.003\n"
+        )
+        assert cli.main(["bounds", "--model", str(path)]) == 0
+        out, _ = capsys.readouterr()
+        assert calls and "norm_delta1 = 0.025" in out and "gate = pass" in out
 
     @pytest.mark.parametrize("coupling", ["800", "1e300"])
     def test_huge_coupling_saturates(self, tmp_path, coupling):

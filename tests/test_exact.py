@@ -83,14 +83,22 @@ def walk_field(kind, rng, dimension, spins):
     return TripleInteractionField(pair, 0.3)
 
 
+def without(sites: tuple, *holes: tuple) -> tuple:
+    """The window `sites` less the sites `holes`, which the boundary holds."""
+    return tuple(s for s in sites if s not in holes)
+
+
+GRID23 = tuple((i, j) for i in range(2) for j in range(3))
+GRID24 = tuple((i, j) for i in range(2) for j in range(4))
+
 WALKS = {
-    # spins, window, boundary, fixed sites -> spins, walk start, field kind
-    "q2-chain": (SPINS2, chain_window(6), EMPTY_CONFIG, {}, 0, "pair"),
+    # spins, window, boundary, walk start, field kind; a window with a
+    # hole has a boundary spin there
+    "q2-chain": (SPINS2, chain_window(6), EMPTY_CONFIG, 0, "pair"),
     "q2-boundary-fixed": (
         SPINS2,
-        chain_window(7),
-        config(((-1,), 1), ((7,), 1)),
-        {(3,): 1},
+        without(chain_window(7), (3,)),
+        config(((-1,), 1), ((3,), 1), ((7,), 1)),
         21,
         "pair",
     ),
@@ -98,28 +106,25 @@ WALKS = {
         SPINS2,
         chain_window(6),
         config(((6,), 1),),
-        {},
         5,
         "perturbed",
     ),
-    "q3-triple-chain": (SPINS3, chain_window(5), EMPTY_CONFIG, {(1,): 2}, 7, "triple"),
+    "q3-triple-chain": (
+        SPINS3,
+        without(chain_window(5), (1,)),
+        config(((1,), 2),),
+        7,
+        "triple",
+    ),
     "q3-vacuum-mid-grid": (
         SPINS3_MID,
-        tuple((i, j) for i in range(2) for j in range(3)),
-        config(((-1, 0), 2), ((2, 2), 0)),
-        {(0, 1): 2},
+        without(GRID23, (0, 1)),
+        config(((-1, 0), 2), ((0, 1), 2), ((2, 2), 0)),
         100,
         "pair",
     ),
     # 3**8 positions: the walk resumes at 2048, which no power of 3 divides
-    "q3-grid-unaligned": (
-        SPINS3_MID,
-        tuple((i, j) for i in range(2) for j in range(4)),
-        config(((2, 1), 2),),
-        {},
-        2048,
-        "pair",
-    ),
+    "q3-grid-unaligned": (SPINS3_MID, GRID24, config(((2, 1), 2),), 2048, "pair"),
 }
 
 
@@ -134,12 +139,12 @@ def ball_key(field, env, site, old, new):
     return (None if field.homogeneous else site, ball, old, new)
 
 
-def support_items(walker) -> tuple:
-    """The non-vacuum spins of the walker's configuration, the fixed part
-    included, in site order."""
+def support_items(walker, digits=None) -> tuple:
+    """The non-vacuum spins of the walker's configuration (or of the one
+    that `digits` spell), in site order."""
     vac = walker.vacuum
-    free = [(s, d) for s, d in zip(walker.free_sites, walker.digits) if d != vac]
-    return tuple(sorted(walker.fixed.items + tuple(free)))
+    digits = walker.digits if digits is None else digits
+    return tuple((s, d) for s, d in zip(walker.table.order, digits) if d != vac)
 
 
 def seek_keys(field, walker):
@@ -149,7 +154,7 @@ def seek_keys(field, walker):
     env = dict(walker.table.boundary.items)
     env.update(support_items(walker))
     keys = set()
-    for t in sorted(walker.table.window):
+    for t in walker.table.order:
         keys.add(ball_key(field, env, t, vac, env.pop(t, vac)))
     return keys
 
@@ -157,14 +162,11 @@ def seek_keys(field, walker):
 @pytest.mark.parametrize("name", sorted(WALKS))
 class TestVolumeWalker:
     def setup_walk(self, name):
-        spins, window, boundary, fixed_spins, start, kind = WALKS[name]
+        spins, window, boundary, start, kind = WALKS[name]
         base = walk_field(kind, random.Random(name), len(window[0]), spins)
         field = CountingField(base)
-        fixed = Configuration(fixed_spins.items())
-        free = sorted(s for s in window if s not in fixed_spins)
         table = _TransitionTable(field, frozenset(window), boundary)
-        walker = _VolumeWalker(table, fixed, free)
-        return field, walker, start, spins.size ** len(free)
+        return field, _VolumeWalker(table), start, spins.size ** len(window)
 
     def walk(self, field, walker, start, total, keys=None):
         """(digits, support, delta) at each position from start to the end.
@@ -186,7 +188,7 @@ class TestVolumeWalker:
             if not moved:
                 break
             (pos,) = [p for p, d in enumerate(digits) if d != walker.digits[p]]
-            site, old, new = walker.free_sites[pos], digits[pos], walker.digits[pos]
+            site, old, new = walker.table.order[pos], digits[pos], walker.digits[pos]
             env = dict(walker.table.boundary.items)
             env.update(support)
             env.pop(site, None)
@@ -201,7 +203,7 @@ class TestVolumeWalker:
         digits = [d for d, _, _ in seen]
         assert len(set(digits)) == total
         assert set(digits) == set(
-            itertools.product(range(walker.base), repeat=len(walker.free_sites))
+            itertools.product(range(walker.base), repeat=len(walker.digits))
         )
         for before, after in zip(digits, digits[1:]):
             changed = [(a, b) for a, b in zip(before, after) if a != b]
@@ -224,7 +226,7 @@ class TestVolumeWalker:
         for _, support, delta in self.walk(field, walker, start, total):
             x = Configuration._make(support)
             telescoped = delta_volume(
-                field.base, table.window, table.boundary, x, EMPTY_CONFIG
+                field.base, table.order, table.boundary, x, EMPTY_CONFIG
             )
             assert abs(delta - telescoped) <= 1e-12
 
@@ -238,7 +240,7 @@ class TestVolumeWalker:
         table = walker.table
         x = Configuration._make(resumed[0][1])
         assert resumed[0][2] == delta_volume(
-            field.base, table.window, table.boundary, x, EMPTY_CONFIG
+            field.base, table.order, table.boundary, x, EMPTY_CONFIG
         )
 
     def test_each_transition_is_evaluated_once(self, name):
@@ -246,7 +248,7 @@ class TestVolumeWalker:
         keys: set = set()
         self.walk(field, walker, start, total, keys)
         assert 0 < field.calls <= len(keys)
-        second = _VolumeWalker(walker.table, walker.fixed, walker.free_sites)
+        second = _VolumeWalker(walker.table)
         calls = field.calls
         self.walk(field, second, start, total)
         assert field.calls == calls
@@ -319,29 +321,27 @@ def consistent_field(kind, rng, dimension, spins):
 
 
 BLOCK_WALKS = {
-    # spins, window, boundary, fixed sites -> spins, field kind
+    # spins, window, boundary, field kind; a window with a hole has a
+    # boundary spin there
     # 2**13 positions: four blocks of 2**11, the second and fourth backward
     "q2-13-free": (
         SPINS2,
-        chain_window(14),
-        config(((-1,), 1), ((14,), 1)),
-        {(5,): 1},
+        without(chain_window(14), (5,)),
+        config(((-1,), 1), ((5,), 1), ((14,), 1)),
         "pair",
     ),
     # 3**7 positions: three blocks of 3**6
     "q3-vacuum-mid-grid": (
         SPINS3_MID,
-        tuple((i, j) for i in range(2) for j in range(4)),
-        config(((-1, 1), 0), ((2, 3), 2), ((0, 4), 0)),
-        {(1, 2): 0},
+        without(GRID24, (1, 2)),
+        config(((-1, 1), 0), ((0, 4), 0), ((1, 2), 0), ((2, 3), 2)),
         "three-body",
     ),
     # 4**6 positions: four blocks of 4**5
     "q4-chain": (
         SPINS4,
-        chain_window(7),
-        config(((-1,), 3), ((7,), 0)),
-        {(3,): 1},
+        without(chain_window(7), (3,)),
+        config(((-1,), 3), ((3,), 1), ((7,), 0)),
         "one-body",
     ),
 }
@@ -352,12 +352,10 @@ class TestBlockWalks:
     """walk() steps through a whole block from the table's move lists."""
 
     def setup_walk(self, name):
-        spins, window, boundary, fixed_spins, kind = BLOCK_WALKS[name]
+        spins, window, boundary, kind = BLOCK_WALKS[name]
         field = consistent_field(kind, random.Random(name), len(window[0]), spins)
-        fixed = Configuration(fixed_spins.items())
-        free = sorted(s for s in window if s not in fixed_spins)
         table = _TransitionTable(field, frozenset(window), boundary)
-        return field, _VolumeWalker(table, fixed, free)
+        return field, _VolumeWalker(table)
 
     @staticmethod
     def stepped(walker, start, stop):
@@ -373,7 +371,7 @@ class TestBlockWalks:
     def walked(walker, start, stop):
         """(digits, code, delta) from walk(start, stop), digits read off
         the codes."""
-        q, n = walker.base, len(walker.free_sites)
+        q, n = walker.base, len(walker.digits)
         codes: list = []
         deltas = walker.walk(start, stop, codes)
         digits = [tuple(c // q ** (n - 1 - p) % q for p in range(n)) for c in codes]
@@ -382,7 +380,7 @@ class TestBlockWalks:
     def test_blocks_match_seek_and_advance_bit_for_bit(self, name):
         field, walker = self.setup_walk(name)
         table = walker.table
-        blocks = table.blocks(len(walker.free_sites))
+        blocks = table.blocks()
         assert len(blocks) >= 3
         for start, stop in blocks:
             assert self.walked(walker, start, stop) == self.stepped(
@@ -395,19 +393,17 @@ class TestBlockWalks:
     def test_blocks_track_the_telescoped_energy(self, name):
         field, walker = self.setup_walk(name)
         table = walker.table
-        vac = walker.vacuum
-        for start, stop in table.blocks(len(walker.free_sites)):
+        for start, stop in table.blocks():
             for digits, _, delta in self.walked(walker, start, stop):
-                free = [(s, d) for s, d in zip(walker.free_sites, digits) if d != vac]
-                x = Configuration(list(walker.fixed.items) + free)
+                x = Configuration._make(support_items(walker, digits))
                 telescoped = delta_volume(
-                    field, table.window, table.boundary, x, EMPTY_CONFIG
+                    field, table.order, table.boundary, x, EMPTY_CONFIG
                 )
                 assert abs(delta - telescoped) <= 1e-12
 
     def test_walk_stays_at_its_start(self, name):
         field, walker = self.setup_walk(name)
-        start, stop = walker.table.blocks(len(walker.free_sites))[1]
+        start, stop = walker.table.blocks()[1]
         walker.seek(start)
         before = (list(walker.digits), walker.code, walker.delta, list(walker.codes))
         walker.walk(start, stop)
@@ -415,7 +411,7 @@ class TestBlockWalks:
 
     def test_rejects_an_unaligned_range(self, name):
         field, walker = self.setup_walk(name)
-        start, stop = walker.table.blocks(len(walker.free_sites))[1]
+        start, stop = walker.table.blocks()[1]
         with pytest.raises(ValueError):
             walker.walk(start + 1, stop + 1)
 
@@ -429,16 +425,15 @@ def test_move_lists_are_built_once_per_call(monkeypatch):
         return gray_step(digits, steps, q)
 
     monkeypatch.setattr(exact, "_gray_step", counting)
-    # probes pinning 0 .. 12 sites walk 12 .. 0 free sites, in blocks of
-    # at most 2**11: a b-digit list makes 2**b - 1 moves and one call that
-    # ends it
-    window = chain_window(12)
-    probes = [config(*((s, 1) for s in window[:k])) for k in range(13)]
-    rho_probe(chain_field(0.2), window, probes)
-    assert built == {b: 2**b for b in range(12)}
+    # 3**8 positions walk in 9 blocks of 3**6, forward and backward: the
+    # forward 6-digit list makes 3**6 - 1 moves and one call that ends it,
+    # and the backward list reverses it without a call
+    field = random_pair_field(random.Random(8), 1, SPINS3, 1, max_coupling=0.3)
+    partition_function(field, chain_window(8))
+    assert built == {6: 3**6}
     # the lists live on the call's table, not beyond it
-    rho_probe(chain_field(0.2), window, probes)
-    assert built == {b: 2 * 2**b for b in range(12)}
+    partition_function(field, chain_window(8))
+    assert built == {6: 2 * 3**6}
 
 
 WEIGHT_PASSES = {
@@ -482,9 +477,9 @@ def test_extension_route_walks_nothing(monkeypatch):
     built = []
     init = _VolumeWalker.__init__
 
-    def counting(self, *args):
-        built.append(args)
-        init(self, *args)
+    def counting(self, table):
+        built.append(table)
+        init(self, table)
 
     monkeypatch.setattr(_VolumeWalker, "__init__", counting)
     field = random_pair_field(random.Random(3), 1, SPINS3, 1, max_coupling=0.3)
@@ -681,7 +676,88 @@ class TestRhoExact:
             rho_exact(chain_field(0.1), chain_window(30))
 
 
+PROBE_CASES = {
+    # spins, window, boundary, field kind
+    "q2-chain-boundary": (
+        SPINS2,
+        chain_window(6),
+        config(((-1,), 1), ((6,), 1)),
+        "pair",
+    ),
+    "q3-vacuum-mid-grid": (
+        SPINS3_MID,
+        GRID23,
+        config(((-1, 0), 2), ((0, 3), 0), ((2, 1), 2)),
+        "three-body",
+    ),
+    "q3-grid-one-body": (SPINS3, GRID23, EMPTY_CONFIG, "one-body"),
+    "q4-chain-one-body": (
+        SPINS4,
+        chain_window(5),
+        config(((-1,), 3), ((5,), 0)),
+        "one-body",
+    ),
+}
+
+
+def brute_force_probe(field, window, boundary, probe):
+    """The probe's correlation value from the defining sums, every
+    configuration's energy telescoped by delta_volume."""
+    numerator, z = [], []
+    pinned = dict(probe.items)
+    for x in enumerate_configs(window, field.spins):
+        weight = math.exp(delta_volume(field, window, boundary, x, EMPTY_CONFIG))
+        z.append(weight)
+        spins = dict(x.items)
+        if all(spins.get(s) == b for s, b in pinned.items()):
+            numerator.append(weight)
+    return math.fsum(numerator) / math.fsum(z)
+
+
+def random_probes(rng, window, spins) -> list:
+    """Probes on one site, on two sites and on the whole window, with
+    random non-vacuum spins."""
+    probes = []
+    for k in (1, 2, len(window)):
+        sites = sorted(rng.sample(window, k))
+        probes.append(Configuration((s, rng.choice(spins.star_indices)) for s in sites))
+    return probes
+
+
 class TestRhoProbe:
+    @pytest.mark.parametrize("name", sorted(PROBE_CASES))
+    def test_matches_brute_force(self, name):
+        spins, window, boundary, kind = PROBE_CASES[name]
+        rng = random.Random(name)
+        field = consistent_field(kind, rng, len(window[0]), spins)
+        probes = random_probes(rng, window, spins)
+        got = rho_probe(field, window, probes, boundary=boundary)
+        for probe in probes:
+            expected = brute_force_probe(field, window, boundary, probe)
+            assert got[probe] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_each_probe_moves_into_the_boundary(self, monkeypatch):
+        # one table for the denominator, then one per nonempty probe on
+        # the rest of the window with the probe in the boundary
+        built = []
+        init = _TransitionTable.__init__
+
+        def recording(self, field, window, boundary):
+            built.append((window, boundary))
+            init(self, field, window, boundary)
+
+        monkeypatch.setattr(_TransitionTable, "__init__", recording)
+        spins, window, boundary, kind = PROBE_CASES["q3-vacuum-mid-grid"]
+        rng = random.Random(3)
+        field = consistent_field(kind, rng, 2, spins)
+        probes = [EMPTY_CONFIG] + random_probes(rng, window, spins)
+        rho_probe(field, window, probes, boundary=boundary)
+        window = frozenset(window)
+        assert built == [(window, boundary)] + [
+            (window - p.support, Configuration(boundary.items + p.items))
+            for p in probes[1:]
+        ]
+
     def test_matches_full_table(self):
         field = chain_field(0.25)
         window = chain_window(6)

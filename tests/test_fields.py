@@ -236,6 +236,17 @@ class TestNormsAndBounds:
         j = 0.045
         assert norm_delta1(chain_field(j)) == pytest.approx(2 * j, abs=1e-15)
 
+    def test_pair_norm_fallback_equals_the_boundary_scan(self):
+        # norm_delta1 returns norm_bound_exact once the scan is over
+        # budget; where the scan fits, both give the same float
+        rng = random.Random(14)
+        shapes = [(1, q, r) for q in (2, 3, 4) for r in (1, 2)]
+        for dimension, q, radius in shapes + [(2, 2, 1), (2, 3, 1)]:
+            for _ in range(4):
+                spins = SpinSpace(tuple("abcd"[:q]), rng.randrange(q))
+                field = random_pair_field(rng, dimension, spins, radius)
+                assert field.norm_bound_exact() == norm_delta1(field)
+
     def test_decay_sums_chain(self):
         j = 0.2
         d = decay_sums(chain_field(j))
