@@ -13,9 +13,10 @@ its first configuration, so rounding drift cannot accumulate across more
 than one block, and steps through the table's cached Gray move list in
 a local loop.  `rho_probe` pins no walk: a probe's numerator is a
 partition function with the probe moved into the boundary.  The
-exception is `rho_exact`'s extension route, which shares only the table:
-`_telescoped_weights` sums every configuration's energy in telescoping
-order, without a walk.
+exception is `rho_exact`'s extension route, whose weights share only the
+table: `_telescoped_weights` sums every configuration's energy in
+telescoping order, without a walk.  Both routes fold their weights into
+numerators with `_fold_numerators`.
 The walks assume a volume-consistent field, whose walked energy does not
 depend on the path; only `rho_exact`'s default two-route check refuses
 one that is not, because its routes then part.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import checks
@@ -41,6 +42,7 @@ from .lattice import (
     SpinSpace,
     ball,
     concat,
+    enumerate_configs,
     merge_items,
     split_min,
 )
@@ -92,6 +94,16 @@ def _exp_all(deltas: list, what: str = "volume energy") -> list:
             f"(+/-{MAX_SAFE_ENERGY}); rescale the couplings"
         )
     return list(map(math.exp, deltas))
+
+
+def _weight_sum(weights: Iterable[float]) -> float:
+    """fsum of Boltzmann weights; a sum beyond the float range is refused."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        raise DomainError(
+            "the window's weight sum overflows the float range; rescale the couplings"
+        ) from None
 
 
 class _TransitionTable:
@@ -351,20 +363,21 @@ class _VolumeWalker:
         return deltas
 
 
-def _block_weights(transitions: _TransitionTable, spread=None) -> list:
+def _block_weights(transitions: _TransitionTable, weights: list | None = None) -> list:
     """The one enumeration walk: every configuration of the table's
     window, walked block by block through `map_blocks`.  Returns the fsum
     of each block's weights exp{Delta_window(x, vacuum)} in block order,
-    and calls `spread(codes, weights)` on each block if given; a code
-    spells the window's spins as `_VolumeWalker.code` does."""
+    and stores each weight at `weights[code]` if given; a code spells the
+    window's spins as `_VolumeWalker.code` does."""
 
     def job(start: int, stop: int) -> float:
         walker = _VolumeWalker(transitions)
-        codes = None if spread is None else []
-        weights = _exp_all(walker.walk(start, stop, codes))
-        if spread is not None:
-            spread(codes, weights)
-        return math.fsum(weights)
+        codes = None if weights is None else []
+        block = _exp_all(walker.walk(start, stop, codes))
+        if weights is not None:
+            for code, w in zip(codes, block):
+                weights[code] = w
+        return _weight_sum(block)
 
     return map_blocks(job, transitions.blocks())
 
@@ -379,7 +392,7 @@ def partition_function(
     window = frozenset(window)
     _check_budget(field.spins.size ** len(window), "partition function")
     transitions = _TransitionTable(field, window, boundary)
-    return math.fsum(_block_weights(transitions))
+    return _weight_sum(_block_weights(transitions))
 
 
 @dataclass(frozen=True)
@@ -407,21 +420,12 @@ def gibbs_distribution(
     window = frozenset(window)
     _check_budget(field.spins.size ** len(window), "Gibbs table")
     transitions = _TransitionTable(field, window, boundary)
-    sites, q, vac = transitions.order, transitions.base, transitions.vacuum
-    table: dict = {}
-
-    def record(codes: list, weights: list) -> None:
-        for code, w in zip(codes, weights):
-            items = []
-            for site in reversed(sites):
-                code, spin = divmod(code, q)
-                if spin != vac:
-                    items.append((site, spin))
-            table[Configuration._make(tuple(reversed(items)))] = w
-
-    _block_weights(transitions, record)
-    z = math.fsum(table.values())
-    probabilities = {k: w / z for k, w in table.items()}
+    weights = [0.0] * field.spins.size ** len(window)
+    _block_weights(transitions, weights)
+    z = _weight_sum(weights)
+    # enumerate_configs lists the configurations in code order
+    configs = enumerate_configs(window, field.spins)
+    probabilities = {x: w / z for x, w in zip(configs, weights)}
     return GibbsTable(window, probabilities, z)
 
 
@@ -444,22 +448,14 @@ class CorrelationTable:
         return sorted(self.values.items(), key=lambda kv: (len(kv[0]), kv[0].items))
 
 
-def _marginal_numerators(transitions: _TransitionTable) -> tuple:
-    """One pass over all configurations z fills their weights by `code`;
-    then each site axis of length q becomes an axis of length 1 + n_x: the
-    sum over the axis (site left free), then the slices at the non-vacuum
-    spins (site pinned).  Each entry of the result is the numerator of the
-    configuration it pins."""
+def _fold_numerators(transitions: _TransitionTable, weights: list) -> dict:
+    """The numerator of every nonempty configuration x of the window: the
+    sum of the weights, listed by `code`, of the configurations that
+    extend x.  Each site axis of length q becomes an axis of length
+    1 + n_x: the sum over the axis (site left free), then the slices at
+    the non-vacuum spins (site pinned)."""
     sites = transitions.order
     q = transitions.base
-    weights = [0.0] * q ** len(sites)
-
-    def place(codes: list, block: list) -> None:
-        for code, w in zip(codes, block):
-            weights[code] = w
-
-    z = math.fsum(_block_weights(transitions, place))
-
     star = transitions.field.spins.star_indices
     table = weights
     keys = [()]
@@ -474,8 +470,7 @@ def _marginal_numerators(transitions: _TransitionTable) -> tuple:
         table = mapped
         pins = [()] + [((site, b),) for b in star]
         keys = [key + pin for key in keys for pin in pins]
-    numerators = dict(zip(keys[1:], table[1:]))
-    return z, numerators
+    return dict(zip(keys[1:], table[1:]))
 
 
 def _telescoped_weights(transitions: _TransitionTable) -> list:
@@ -484,7 +479,8 @@ def _telescoped_weights(transitions: _TransitionTable) -> list:
     that places the spins in reverse window order: each term is the
     table's energy of one site leaving the vacuum with the later sites
     placed and the earlier ones vacuum, as `seek` telescopes, and each
-    partial sum is shared by every configuration that extends it."""
+    partial sum is shared by every configuration that extends it.  No
+    walker runs, so no weight depends on a walk's path."""
     n = len(transitions.order)
     q, vac = transitions.base, transitions.vacuum
     energy = transitions.energy
@@ -513,43 +509,6 @@ def _telescoped_weights(transitions: _TransitionTable) -> list:
     return _exp_all(deltas)
 
 
-def _extension_numerators(transitions: _TransitionTable) -> tuple:
-    """Independent route: each target configuration's numerator is the
-    fsum of the weights of its extensions, the defining sum, read from
-    `_telescoped_weights` and not from any walk.  With p the target's last
-    pinned site, its extensions are the runs of q**(n - 1 - p) consecutive
-    codes that start at each spin choice on the free sites before p; the
-    targets are visited depth first over the window, so the run starts of
-    a prefix of pinned and free sites are built once."""
-    sites = transitions.order
-    n = len(sites)
-    q = transitions.base
-    weights = _telescoped_weights(transitions)
-    z = math.fsum(weights)
-    places = [q ** (n - 1 - p) for p in range(n)]
-    star = transitions.field.spins.star_indices
-    numerators: dict = {}
-
-    def pin(p: int, starts: list, base: int, items: tuple) -> None:
-        # targets whose pins before p are `items` (spelling `base`), with
-        # the free sites before p spelt by `starts`
-        run = places[p]
-        for b in star:
-            code = base + b * run
-            pinned = items + ((sites[p], b),)
-            runs = [weights[code + s : code + s + run] for s in starts]
-            numerators[pinned] = math.fsum(chain.from_iterable(runs))
-            if p + 1 < n:
-                pin(p + 1, starts, code, pinned)
-        if p + 1 < n:
-            spins = [b * run for b in range(q)]
-            pin(p + 1, [s + d for s in starts for d in spins], base, items)
-
-    if n:
-        pin(0, [0], 0, ())
-    return z, numerators
-
-
 def rho_exact(
     field: OnePointField,
     window: Iterable[tuple],
@@ -558,11 +517,10 @@ def rho_exact(
 ) -> CorrelationTable:
     """Full correlation table over the window.
 
-    method "marginal" distributes each walked Boltzmann weight to all
-    restrictions of its configuration; "extension" sums the telescoped
-    weights of each target configuration's extensions; "both" (default)
-    computes the table both ways and insists they agree within
-    SELF_CHECK_TOL.
+    Each route folds one weight per configuration into the numerators
+    (`_fold_numerators`): method "marginal" the walked weights,
+    "extension" the telescoped ones; "both" (default) computes the table
+    both ways and insists they agree within SELF_CHECK_TOL.
     """
     window = frozenset(window)
     spins = field.spins
@@ -574,20 +532,25 @@ def rho_exact(
         _check_budget(cost, "two-route correlation table", "enumeration steps")
 
     transitions = _TransitionTable(field, window, boundary)
-    if method == "extension":
-        z, numerators = _extension_numerators(transitions)
-    else:
-        z, numerators = _marginal_numerators(transitions)
-        if method == "both":
-            z2, numerators2 = _extension_numerators(transitions)
-            worst = abs(z2 / z - 1.0)
-            for key, num in numerators.items():
-                worst = max(worst, abs(num / z - numerators2[key] / z2))
-            if worst > SELF_CHECK_TOL:
-                raise DomainError(
-                    "correlation routes disagree: marginal vs extension "
-                    f"differ by {worst!r} (tolerance {SELF_CHECK_TOL!r})"
-                )
+    tables = []
+    if method != "extension":
+        weights = [0.0] * spins.size ** len(window)
+        z = _weight_sum(_block_weights(transitions, weights))
+        tables.append((z, _fold_numerators(transitions, weights)))
+    if method != "marginal":
+        weights = _telescoped_weights(transitions)
+        tables.append((_weight_sum(weights), _fold_numerators(transitions, weights)))
+    z, numerators = tables[0]
+    if method == "both":
+        z2, numerators2 = tables[1]
+        worst = abs(z2 / z - 1.0)
+        for key, num in numerators.items():
+            worst = max(worst, abs(num / z - numerators2[key] / z2))
+        if worst > SELF_CHECK_TOL:
+            raise DomainError(
+                "correlation routes disagree: marginal vs extension "
+                f"differ by {worst!r} (tolerance {SELF_CHECK_TOL!r})"
+            )
 
     values = {Configuration._make(key): num / z for key, num in numerators.items()}
     values[EMPTY_CONFIG] = 1.0
@@ -796,10 +759,17 @@ def write_table(
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"value {value!r} is not finite")
+    return value
+
+
 def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
     """Read a table in the `write_table` format.  A row, or a `window` or
-    `partition_value` header, that does not parse, and a row whose value
-    is not finite, is a DomainError naming its line."""
+    `partition_value` header, that does not parse; a row or
+    `partition_value` that is not finite; and a second row for one
+    configuration, are each a DomainError naming its line."""
     headers: dict = {}
     values: dict = {}
     window = partition_value = None
@@ -817,7 +787,7 @@ def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
                     if key == "window":
                         window = value and frozenset(map(_parse_site, value.split(";")))
                     elif key == "partition_value":
-                        partition_value = float(value)
+                        partition_value = _finite(value)
                 elif line and body_seen:
                     sites_text, labels_text, value_text = line.split(",")
                     config = EMPTY_CONFIG
@@ -825,9 +795,9 @@ def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
                         sites = map(_parse_site, sites_text.split(";"))
                         labels = map(spins.index_of, labels_text.split(";"))
                         config = Configuration(zip(sites, labels, strict=True))
-                    if not math.isfinite(value := float(value_text)):
-                        raise ValueError(f"value {value!r} is not finite")
-                    values[config] = value
+                    if config in values:
+                        raise ValueError("an earlier row has the same configuration")
+                    values[config] = _finite(value_text)
                 elif line:
                     if line != "support,spins,value":
                         raise DomainError(f"unexpected table header row: {line!r}")

@@ -105,4 +105,6 @@ MALFORMED_TABLES = {
     "non-finite-value": (_TABLE + "0,1,nan\n", 5),
     "window-header": (_TABLE.replace("0;1", "0;x"), 1),
     "partition-header": (_TABLE.replace("3.5", "abc"), 2),
+    "non-finite-header": (_TABLE.replace("3.5", "nan"), 2),
+    "duplicate-row": (_TABLE + "0,1,0.4\n0,1,0.9\n", 6),
 }

@@ -517,6 +517,19 @@ class TestExponentRange:
             "(+/-700.0); rescale the couplings"
         ]
 
+    def test_overflowing_weight_sum_is_exit_two(self, tmp_path, capsys):
+        # every weight is e**700, inside the exponent range, but the sum of
+        # the 8**5 of them is beyond the float range
+        text = "dimension = 1\nspins = 0 a b c d e f g h\nvacuum = 0\nrange = 1\n"
+        text += "".join(f"onebody {b} = -140\n" for b in "abcdefgh")
+        path = write_model(tmp_path, text)
+        assert cli.main(["exact", "--window=0:4", "--model", path]) == 2
+        _, err = capsys.readouterr()
+        assert err.strip().splitlines() == [
+            "error: the window's weight sum overflows the float range; "
+            "rescale the couplings"
+        ]
+
     def test_tail_bound_overflow_falls_back_to_the_trivial_bound(
         self, tmp_path, capsys
     ):
@@ -685,6 +698,17 @@ TABLE_DIGESTS = {
 }
 
 
+def output_digests(tmp_path, *argv) -> tuple:
+    """sha256 of the stdout and of the --out file of a run that exits 0."""
+    out = tmp_path / "out.csv"
+    proc = run_cli(*argv, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    return (
+        hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest(),
+        hashlib.sha256(out.read_bytes()).hexdigest(),
+    )
+
+
 @pytest.mark.parametrize("name, command", sorted(TABLE_DIGESTS))
 def test_outputs_keep_their_bytes(tmp_path, name, command):
     path = MODELS / f"{name}.model"
@@ -694,11 +718,17 @@ def test_outputs_keep_their_bytes(tmp_path, name, command):
         window = "0,0:2,2"
     else:
         window = "0:7"
-    out = tmp_path / "out.csv"
-    proc = run_cli(command, "--model", str(path), f"--window={window}", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    digests = (
-        hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest(),
-        hashlib.sha256(out.read_bytes()).hexdigest(),
-    )
+    argv = [command, "--model", str(path), f"--window={window}"]
+    digests = output_digests(tmp_path, *argv)
     assert digests == TABLE_DIGESTS[name, command]
+
+
+def test_two_block_table_keeps_its_bytes(tmp_path):
+    # the benchmark's exact job: 2**12 walk positions in two blocks of
+    # 2**11, the second restarting mid-sequence and walking backward
+    argv = ["exact", "--model", model("chain_gated"), "--window=0:11"]
+    digests = output_digests(tmp_path, *argv)
+    assert digests == (
+        "5b1a8140727cb7dc2d6ee1412a21645600841faf43938dca7d50dcac01b9d14a",
+        "1bc2fe38d564c0317699a534e00bea1048cf6d4a5d347eb84c728c2efdd79374",
+    )

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 import random
@@ -11,6 +12,8 @@ from spincorr import (
     DomainError,
     EMPTY_CONFIG,
     EnvironmentConditionError,
+    PairField,
+    PairPotential,
     gibbs_distribution,
     partition_function,
     read_table,
@@ -47,6 +50,7 @@ WINDOW2 = ((0,), (1,))
 # three spins with the vacuum in the middle of the alphabet
 SPINS3_MID = SpinSpace(("a", "0", "b"), vacuum_index=1)
 SPINS4 = SpinSpace(("a", "b", "0", "c"), vacuum_index=2)
+METHODS = ("marginal", "extension", "both")
 
 
 def chain_window(n: int) -> tuple:
@@ -471,8 +475,8 @@ def test_telescoped_weights_match_delta_volume(name):
 
 
 def test_extension_route_walks_nothing(monkeypatch):
-    # the extension route shares only the transition table with the
-    # marginal route: no walker, so a path-dependent walk cannot agree
+    # the extension route's weights share only the transition table with
+    # the marginal route: no walker, so a path-dependent walk cannot agree
     # with itself
     built = []
     init = _VolumeWalker.__init__
@@ -483,10 +487,9 @@ def test_extension_route_walks_nothing(monkeypatch):
 
     monkeypatch.setattr(_VolumeWalker, "__init__", counting)
     field = random_pair_field(random.Random(3), 1, SPINS3, 1, max_coupling=0.3)
-    table = _TransitionTable(field, frozenset(chain_window(5)), EMPTY_CONFIG)
-    z, numerators = exact._extension_numerators(table)
+    table = rho_exact(field, chain_window(5), method="extension")
     assert built == []
-    assert len(numerators) == 3**5 - 1 and z > 0
+    assert len(table.values) == 3**5 and table.partition_value > 0
     rho_exact(field, chain_window(5), method="marginal")
     assert built  # the counter sees the walks that do run
 
@@ -522,6 +525,25 @@ class TestPartitionFunction:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             partition_function(chain_field(0.1), chain_window(30))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            partition_function,
+            gibbs_distribution,
+            lambda field, window: rho_probe(field, window, [singleton((0,))]),
+            *(functools.partial(rho_exact, method=m) for m in METHODS),
+        ],
+        ids=["partition", "gibbs", "probe", *METHODS],
+    )
+    def test_overflowing_weight_sum_is_refused(self, call):
+        # 8**5 configurations of weight e**700 each: every exponent is in
+        # range, their sum is not
+        spins = SpinSpace(tuple("0abcdefgh"))
+        potential = PairPotential.create(1, 1, {}, spins)
+        field = PairField(potential, spins, [0.0] + [-140.0] * 8)
+        with pytest.raises(DomainError, match="weight sum overflows the float range"):
+            call(field, chain_window(5))
 
 
 class TestGibbsDistribution:
@@ -712,6 +734,28 @@ def brute_force_probe(field, window, boundary, probe):
         if all(spins.get(s) == b for s, b in pinned.items()):
             numerator.append(weight)
     return math.fsum(numerator) / math.fsum(z)
+
+
+@pytest.mark.parametrize("method", ["marginal", "extension"])
+@pytest.mark.parametrize("name", sorted(PROBE_CASES))
+def test_rho_exact_matches_the_defining_sums(name, method):
+    # one brute-force pass adds each configuration's weight to every
+    # restriction of it, so each entry is summed target by target
+    spins, window, boundary, kind = PROBE_CASES[name]
+    field = consistent_field(kind, random.Random(name), len(window[0]), spins)
+    sums = collections.defaultdict(list)
+    for x in enumerate_configs(window, spins):
+        weight = math.exp(delta_volume(field, window, boundary, x, EMPTY_CONFIG))
+        for k in range(len(x) + 1):
+            for items in itertools.combinations(x.items, k):
+                sums[Configuration._make(items)].append(weight)
+    table = rho_exact(field, window, boundary=boundary, method=method)
+    z = math.fsum(sums[EMPTY_CONFIG])
+    assert table.partition_value == pytest.approx(z, rel=1e-12, abs=0.0)
+    assert set(table.values) == set(sums)
+    for x, weights in sums.items():
+        expected = math.fsum(weights) / z
+        assert table.values[x] == pytest.approx(expected, rel=1e-12, abs=0.0), x
 
 
 def random_probes(rng, window, spins) -> list:
