@@ -22,7 +22,11 @@ depend on the path; only `rho_exact`'s default two-route check refuses
 one that is not, because its routes then part.
 
 The correlation-equation checker re-implements the equation it tests
-from its own loops (no code shared with the solver module).
+from its own loops (no code shared with the solver module).  It reads
+the table by integer code through `_OracleReader`, built once per
+`verify_correlation_equation` call: one dict from code to value, and each
+(site, spin)'s kernel terms listed once, so that checking an entry builds
+no `Configuration`.
 """
 
 from __future__ import annotations
@@ -40,11 +44,8 @@ from .lattice import (
     Configuration,
     EMPTY_CONFIG,
     SpinSpace,
-    ball,
     concat,
     enumerate_configs,
-    merge_items,
-    split_min,
 )
 
 MAX_SAFE_ENERGY = 700.0
@@ -589,58 +590,121 @@ def rho_probe(
     return out
 
 
+class _OracleReader:
+    """The table and the kernel terms of one oracle call, read by integer
+    code, so that no per-entry step builds a `Configuration`.
+
+    Each site of the sorted union of the oracle's window, the table's
+    window and every entry's support gets one base-q digit, place q**i
+    and mask bit 1 << i.  A digit is 0 for vacuum and 1 .. n_x for the
+    non-vacuum spins in symbol order, so a configuration's code is the sum
+    of digit * place over its items; `item_code` maps each (site, spin) to
+    that term and the site's bit.  `values` holds the code of every entry
+    supported inside the table's window: reading a code that is absent
+    gives 0, as `CorrelationTable.value` does for a missing configuration
+    and for one that leaves the table's window.
+    """
+
+    def __init__(
+        self, field: OnePointField, window: frozenset, table: CorrelationTable
+    ):
+        q = field.spins.size
+        self.field = field
+        self.window = window
+        self.star = field.spins.star_indices
+        sites = set(window) | table.window
+        for x in table.values:
+            sites.update(x.mapping)
+        self.item_code: dict = {}
+        self.at: dict = {}  # site -> the codes of its non-vacuum spins, star order
+        outside = 0
+        for i, s in enumerate(sorted(sites)):
+            place, bit = q**i, 1 << i
+            self.at[s] = tuple(d * place for d in range(1, q))
+            for b, c in zip(self.star, self.at[s]):
+                self.item_code[s, b] = (c, bit)
+            if s not in table.window:
+                outside |= bit
+        self.values: dict = {}
+        for x, v in table.values.items():
+            code, mask = self.encode(x.items)
+            if not mask & outside:
+                self.values[code] = v
+        self._terms: dict = {}
+
+    def encode(self, items: tuple) -> tuple[int, int]:
+        """(code, site mask) of a configuration's items."""
+        code = mask = 0
+        for item in items:
+            c, m = self.item_code[item]
+            code += c
+            mask |= m
+        return code, mask
+
+    def kernel_terms(self, t: tuple, x_t: int) -> list:
+        """(site mask, code offset, kernel) of every nonzero term of the
+        J-sum for x_t at t, built on first use.  J runs over the nonempty
+        subsets of the sites of t's ball inside the window, t left out, in
+        `combinations` order, each with its non-vacuum spins in `product`
+        order; the kernel is the product, in J's site order, of the
+        factors exp(eval(s, {t: x_t}, b) - eval(s, {}, b)) - 1, each
+        evaluated once.  Every factor of the ball is evaluated here, so
+        on a table that lacks the singletons at t, a factor beyond the
+        safe exponent range is refused even when each entry's rest covers
+        its site."""
+        terms = self._terms.get((t, x_t))
+        if terms is not None:
+            return terms
+        field, star = self.field, self.star
+        vac = field.spins.vacuum_index
+        in_ball = (tuple(a + o for a, o in zip(t, off)) for off in field.ball_offsets())
+        sites = [s for s in in_ball if s in self.window]
+        factor = {}
+        for s in sites:
+            for b in star:
+                shifted = field.eval(s, {t: x_t}, b, vac)
+                free = field.eval(s, {}, b, vac)
+                factor[s, b] = _oracle_exp(shifted - free, "kernel exponent") - 1.0
+        terms = []
+        for k in range(1, len(sites) + 1):
+            for subset in combinations(sites, k):
+                for assignment in product(star, repeat=k):
+                    kernel = 1.0
+                    for item in zip(subset, assignment):
+                        kernel *= factor[item]
+                    if kernel != 0.0:
+                        offset, mask = self.encode(zip(subset, assignment))
+                        terms.append((mask, offset, kernel))
+        self._terms[t, x_t] = terms
+        return terms
+
+
 def theorem_g_value(
-    field: OnePointField,
-    window: frozenset,
-    table: CorrelationTable,
-    t: tuple,
-    x_t: int,
-    rest: Configuration,
-    kernel_cache: dict | None = None,
+    reader: _OracleReader, t: tuple, x_t: int, rest_code: int, rest_mask: int
 ) -> float:
     """The inner sum of the correlation equation for the configuration
-    (x_t at t) + rest: over nonempty J inside the window and disjoint
-    from the support, and non-vacuum spins on J.
+    (x_t at t) + rest, rest given by its code and site mask: over nonempty
+    J inside the window and disjoint from the support, and non-vacuum
+    spins y on J, the kernel times rho(rest + y) minus the sum over
+    non-vacuum beta of rho(rest + y + beta at t).
 
     Kernel factors vanish beyond the field radius, so J ranges over the
-    interaction ball; that restriction is exact, not a truncation.
+    interaction ball; that restriction is exact, not a truncation.  The
+    terms whose J meets rest are skipped from the reader's list for (t,
+    x_t); the others keep their order, so the fsum is that of the J-sum
+    listed over the ball sites outside rest.
     """
-    spins = field.spins
-    vac = spins.vacuum_index
-    if kernel_cache is None:
-        kernel_cache = {}
-    exclude = rest.support | {t}
-    sites = sorted(s for s in ball(t, field.radius) & window if s not in exclude)
-
-    def factor(s: tuple, b: int) -> float:
-        key = (s, t, x_t, b)
-        got = kernel_cache.get(key)
-        if got is None:
-            shifted = field.eval(s, {t: x_t}, b, vac)
-            free = field.eval(s, {}, b, vac)
-            got = _oracle_exp(shifted - free, "kernel exponent") - 1.0
-            kernel_cache[key] = got
-        return got
-
-    star = spins.star_indices
+    get = reader.values.get
+    at_t = reader.at[t]
     terms = []
-    for k in range(1, len(sites) + 1):
-        for subset in combinations(sites, k):
-            for assignment in product(star, repeat=k):
-                kernel = 1.0
-                for s, b in zip(subset, assignment):
-                    kernel *= factor(s, b)
-                if kernel == 0.0:
-                    continue
-                y_items = tuple(zip(subset, assignment))
-                base = Configuration._make(merge_items(rest.items, y_items))
-                inner = table.value(base)
-                for beta in star:
-                    with_beta = Configuration._make(
-                        merge_items(base.items, ((t, beta),))
-                    )
-                    inner -= table.value(with_beta)
-                terms.append(kernel * inner)
+    for mask, offset, kernel in reader.kernel_terms(t, x_t):
+        if mask & rest_mask:
+            continue
+        base = rest_code + offset
+        inner = get(base, 0.0)
+        for beta in at_t:
+            inner -= get(base + beta, 0.0)
+        terms.append(kernel * inner)
     return math.fsum(terms)
 
 
@@ -649,15 +713,21 @@ def correlation_rhs(
     window: frozenset,
     table: CorrelationTable,
     x: Configuration,
-    kernel_cache: dict | None = None,
+    reader: _OracleReader | None = None,
 ) -> float:
     """Right-hand side of the correlation equation at the nonempty
-    configuration x, reading correlation values from the table."""
-    spins = field.spins
-    vac = spins.vacuum_index
-    star = spins.star_indices
-    t, x_t, rest = split_min(x)
-    boundary_map = dict(rest.items)
+    configuration x, reading correlation values from the table by code.
+    `reader` is the call's `_OracleReader` for (field, window, table);
+    without one, this call builds its own."""
+    if not x:
+        raise DomainError("cannot split the empty configuration")
+    if reader is None:
+        reader = _OracleReader(field, frozenset(window), table)
+    vac = field.spins.vacuum_index
+    star = reader.star
+    (t, x_t), rest = x.items[0], x.items[1:]
+    rest_code, rest_mask = reader.encode(rest)
+    boundary_map = dict(rest)
     weights = {
         alpha: _oracle_exp(field.eval(t, boundary_map, alpha, vac), "weight exponent")
         for alpha in star
@@ -665,18 +735,16 @@ def correlation_rhs(
     denom = 1.0 + math.fsum(weights[alpha] for alpha in star)
     gamma = weights[x_t] / denom
 
-    g_x = theorem_g_value(field, window, table, t, x_t, rest, kernel_cache)
+    g_x = theorem_g_value(reader, t, x_t, rest_code, rest_mask)
     # alpha = vacuum contributes weight 1 and a vanishing kernel sum.
     correction = [g_x]
     for alpha in star:
         if alpha == x_t:  # the same deterministic call as g_x
             g_alpha = g_x
         else:
-            g_alpha = theorem_g_value(
-                field, window, table, t, alpha, rest, kernel_cache
-            )
+            g_alpha = theorem_g_value(reader, t, alpha, rest_code, rest_mask)
         correction.append(weights[alpha] * (g_x - g_alpha))
-    return gamma * (table.value(rest) + math.fsum(correction))
+    return gamma * (reader.values.get(rest_code, 0.0) + math.fsum(correction))
 
 
 def verify_correlation_equation(
@@ -689,12 +757,13 @@ def verify_correlation_equation(
     correlation equation, after confirming the field satisfies the
     boundary-replacement identity the equation depends on.
 
-    The external boundary is vacuum, matching the table convention.
+    The external boundary is vacuum, matching the table convention.  One
+    `_OracleReader` serves every entry of the call.
     """
     window = frozenset(window)
     checks.require_environment_condition(field, min(tolerance, 1e-10))
 
-    kernel_cache: dict = {}
+    reader = _OracleReader(field, window, table)
     worst = 0.0
     witness = ""
     count = 0
@@ -702,7 +771,7 @@ def verify_correlation_equation(
     for x, lhs in table.sorted_items():
         if not x:
             continue
-        rhs = correlation_rhs(field, window, table, x, kernel_cache)
+        rhs = correlation_rhs(field, window, table, x, reader)
         residual = abs(lhs - rhs)
         if math.isnan(residual):  # must not read as a pass
             residual = math.inf
@@ -768,8 +837,9 @@ def _finite(text: str) -> float:
 def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
     """Read a table in the `write_table` format.  A row, or a `window` or
     `partition_value` header, that does not parse; a row or
-    `partition_value` that is not finite; and a second row for one
-    configuration, are each a DomainError naming its line."""
+    `partition_value` that is not finite; a second row for one
+    configuration; and a second header with one key, are each a
+    DomainError naming its line."""
     headers: dict = {}
     values: dict = {}
     window = partition_value = None
@@ -783,6 +853,8 @@ def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
                     key, value = key.strip(), value.strip()
                     if not sep:
                         continue
+                    if key in headers:
+                        raise ValueError(f"an earlier line has the {key!r} header")
                     headers[key] = value
                     if key == "window":
                         window = value and frozenset(map(_parse_site, value.split(";")))

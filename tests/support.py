@@ -107,4 +107,9 @@ MALFORMED_TABLES = {
     "partition-header": (_TABLE.replace("3.5", "abc"), 2),
     "non-finite-header": (_TABLE.replace("3.5", "nan"), 2),
     "duplicate-row": (_TABLE + "0,1,0.4\n0,1,0.9\n", 6),
+    "repeated-partition-header": (
+        _TABLE.replace("support", "# partition_value = 7\nsupport"),
+        3,
+    ),
+    "repeated-window-header": (_TABLE.replace("support", "# window = 0\nsupport"), 3),
 }

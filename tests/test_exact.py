@@ -1,7 +1,9 @@
 import collections
 import functools
+import hashlib
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
@@ -14,7 +16,9 @@ from spincorr import (
     EnvironmentConditionError,
     PairField,
     PairPotential,
+    box,
     gibbs_distribution,
+    load_model,
     partition_function,
     read_table,
     rho_exact,
@@ -23,7 +27,7 @@ from spincorr import (
     write_table,
 )
 from spincorr import exact
-from spincorr.exact import _TransitionTable, _VolumeWalker
+from spincorr.exact import CorrelationTable, _TransitionTable, _VolumeWalker
 from spincorr.fields import (
     OnePointField,
     PerturbedField,
@@ -857,8 +861,6 @@ class TestCorrelationEquation:
         table = rho_exact(field, window)
         values = dict(table.values)
         values[singleton((1,))] += 1e-3
-        from spincorr.exact import CorrelationTable
-
         bad = CorrelationTable(table.window, values, table.partition_value)
         report = verify_correlation_equation(field, window, bad, tolerance=1e-9)
         assert not report.passed
@@ -885,6 +887,160 @@ class TestCorrelationEquation:
         report = verify_correlation_equation(field, window, table)
         assert not report.passed
         assert report.max_residual == math.inf
+
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+
+
+def grid_window(rows: int, columns: int) -> tuple:
+    return tuple(sorted(box((0, 0), (rows - 1, columns - 1))))
+
+
+def model_table(name: str, window: tuple):
+    field = load_model(str(MODELS / f"{name}.model")).field
+    return field, window, rho_exact(field, window)
+
+
+def random_field_table(seed: int, spins, radius: int, window: tuple):
+    field = random_pair_field(random.Random(seed), 1, spins, radius, 0.3)
+    return field, window, rho_exact(field, window)
+
+
+def corrupted_table():
+    field, window, table = model_table("chain_gated", chain_window(6))
+    values = dict(table.values)
+    values[config(((1,), 1), ((2,), 1))] *= 1.0 + 1e-6
+    return field, window, CorrelationTable(table.window, values, table.partition_value)
+
+
+def sparse_table():
+    """A 3-site table window inside a 6-site oracle window.  The entries
+    come from a 4-site table, so every entry on site 3 lies outside the
+    table's own window, as do two added entries; every pair on site 2 is
+    missing.  `CorrelationTable.value` reads all of these as 0."""
+    field = random_pair_field(random.Random(5), 1, SPINS3_MID, 1, 0.3)
+    full = rho_exact(field, chain_window(4))
+    values = {
+        x: v for x, v in full.values.items() if len(x) != 2 or (2,) not in x.support
+    }
+    values[config(((4,), 0))] = 0.25
+    values[config(((1,), 2), ((5,), 0))] = 0.125
+    table = CorrelationTable(frozenset(chain_window(3)), values, full.partition_value)
+    return field, chain_window(6), table
+
+
+ORACLE_CASES = {
+    "chain_gated-12": lambda: model_table("chain_gated", chain_window(12)),
+    "q3-mid-vacuum": lambda: random_field_table(23, SPINS3_MID, 1, chain_window(5)),
+    "range-2": lambda: random_field_table(31, SPINS2, 2, chain_window(6)),
+    "grid_gated-3x3": lambda: model_table("grid_gated", grid_window(3, 3)),
+    "grid_gated-2x3": lambda: model_table("grid_gated", grid_window(2, 3)),
+    "corrupted": corrupted_table,
+    "sparse": sparse_table,
+}
+# (instances, repr(max_residual), witness, digest of every rhs repr) of each
+# report, as the oracle gave them when it looked each value up through a
+# fresh Configuration; reading the table by code must not move a bit
+ORACLE_GOLDEN = {
+    "chain_gated-12": (
+        4095,
+        "8.326672684688674e-17",
+        "x={(0,):1, (7,):1} lhs=0.24181167632669542 rhs=0.2418116763266955",
+        "9a94bbf2ed2e93af",
+    ),
+    "q3-mid-vacuum": (
+        242,
+        "1.1102230246251565e-16",
+        "x={(1,):2} lhs=0.3796457279904657 rhs=0.3796457279904658",
+        "359181ddc9dc0ef0",
+    ),
+    "range-2": (
+        63,
+        "1.1102230246251565e-16",
+        "x={(3,):1} lhs=0.653687741218659 rhs=0.6536877412186591",
+        "9ee673df50494780",
+    ),
+    "grid_gated-3x3": (
+        511,
+        "5.551115123125783e-17",
+        "x={(0, 0):1} lhs=0.49801196251059765 rhs=0.4980119625105976",
+        "eff66d7a835b4e2d",
+    ),
+    "grid_gated-2x3": (
+        63,
+        "2.7755575615628914e-17",
+        "x={(0, 0):1, (0, 2):1} lhs=0.24801493861782115 rhs=0.24801493861782117",
+        "5982b32904587470",
+    ),
+    "corrupted": (
+        63,
+        "2.3628347745052736e-07",
+        "x={(1,):1, (2,):1} lhs=0.23628371375991145 rhs=0.236283477476434",
+        "c30e89bc9749cb78",
+    ),
+    "sparse": (
+        70,
+        "0.125",
+        "x={(1,):2, (5,):0} lhs=0.125 rhs=0.0",
+        "769a0d2e96d9dff2",
+    ),
+}
+
+
+class TestOracleGolden:
+    """The oracle's reports and every right-hand side it computes, bit for
+    bit, on 1-d and 2-d tables, q = 3 with a mid-alphabet vacuum, range 2,
+    a corrupted table and a sparse table that reads entries outside its
+    window and missing entries as 0."""
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_report_and_every_rhs(self, monkeypatch, name):
+        field, window, table = ORACLE_CASES[name]()
+        seen = []
+        rhs = exact.correlation_rhs
+
+        def record(*args):
+            seen.append(rhs(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(exact, "correlation_rhs", record)
+        report = verify_correlation_equation(field, window, table)
+        digest = hashlib.sha256(" ".join(map(repr, seen)).encode()).hexdigest()
+        got = (report.instances, repr(report.max_residual), report.witness)
+        assert (*got, digest[:16]) == ORACLE_GOLDEN[name]
+        assert report.passed == (name not in ("corrupted", "sparse"))
+
+    def test_per_entry_work_builds_no_configuration(self, monkeypatch):
+        # the oracle reads the table by code: no entry check builds a
+        # Configuration or looks a value up through CorrelationTable.value
+        field, window, table = model_table("grid_gated", grid_window(2, 3))
+        checking = []
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += bool(checking)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def entry(*args, rhs=exact.correlation_rhs):
+            checking.append(True)
+            try:
+                return rhs(*args)
+            finally:
+                checking.pop()
+
+        make = classmethod(counted("_make", Configuration._make.__func__))
+        monkeypatch.setattr(Configuration, "_make", make)
+        init = counted("__init__", Configuration.__init__)
+        monkeypatch.setattr(Configuration, "__init__", init)
+        value = counted("value", CorrelationTable.value)
+        monkeypatch.setattr(CorrelationTable, "value", value)
+        monkeypatch.setattr(exact, "correlation_rhs", entry)
+        report = verify_correlation_equation(field, window, table)
+        assert report.passed and report.instances == 63
+        assert sum(calls.values()) == 0, calls
 
 
 class TestTableIO:
