@@ -32,9 +32,8 @@ from .errors import (
     DomainError,
     EnvironmentConditionError,
     GateNotCertifiedError,
-    ModelDefinitionError,
-    ModelFileError,
     SolverDivergenceError,
+    SpincorrError,
 )
 from .exact import (
     read_table,
@@ -421,9 +420,6 @@ def main(argv=None) -> int:
     try:
         _check_common(args)
         return args.func(args)
-    except ModelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EnvironmentConditionError as exc:
         print(f"identity failure: {exc}", file=sys.stderr)
         print(f"witness: {exc.witness} (residual {exc.residual!r})", file=sys.stderr)
@@ -441,10 +437,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 5
-    except (ModelDefinitionError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    # the remaining program errors: ModelFileError, ModelDefinitionError, DomainError
+    except (SpincorrError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -449,29 +449,21 @@ class CorrelationTable:
         return sorted(self.values.items(), key=lambda kv: (len(kv[0]), kv[0].items))
 
 
-def _fold_numerators(transitions: _TransitionTable, weights: list) -> dict:
-    """The numerator of every nonempty configuration x of the window: the
-    sum of the weights, listed by `code`, of the configurations that
-    extend x.  Each site axis of length q becomes an axis of length
-    1 + n_x: the sum over the axis (site left free), then the slices at
-    the non-vacuum spins (site pinned)."""
-    sites = transitions.order
-    q = transitions.base
-    star = transitions.field.spins.star_indices
-    table = weights
-    keys = [()]
-    for pos, site in enumerate(sites):
-        stride = q ** (len(sites) - 1 - pos)
-        mapped = []
-        for lo in range(0, len(table), q * stride):
-            axis = [table[lo + b * stride : lo + (b + 1) * stride] for b in range(q)]
-            mapped.extend(map(math.fsum, zip(*axis)))
-            for b in star:
-                mapped.extend(axis[b])
-        table = mapped
-        pins = [()] + [((site, b),) for b in star]
-        keys = [key + pin for key in keys for pin in pins]
-    return dict(zip(keys[1:], table[1:]))
+def _fold_numerators(transitions: _TransitionTable, weights: list) -> list:
+    """The numerators of the window's configurations, folded into `weights`
+    in place and returned in its `code` layout: each site's vacuum slice
+    becomes the sum over that site's axis (site left free), and the slices
+    at the non-vacuum spins stay (site pinned).  So entry c is the sum of
+    the weights of the configurations that extend the non-vacuum digits
+    of c, and the all-vacuum entry is the sum of every weight."""
+    n = len(transitions.order)
+    q, vac = transitions.base, transitions.vacuum
+    for pos in range(n):
+        stride = q ** (n - 1 - pos)
+        for lo in range(0, len(weights), q * stride):
+            axis = [weights[lo + b * stride : lo + (b + 1) * stride] for b in range(q)]
+            weights[lo + vac * stride : lo + (vac + 1) * stride] = map(math.fsum, zip(*axis))
+    return weights
 
 
 def _telescoped_weights(transitions: _TransitionTable) -> list:
@@ -541,19 +533,24 @@ def rho_exact(
     if method != "marginal":
         weights = _telescoped_weights(transitions)
         tables.append((_weight_sum(weights), _fold_numerators(transitions, weights)))
+    keys = [()]  # by code, as the numerators are listed
+    for site in transitions.order:
+        pins = [() if b == transitions.vacuum else ((site, b),) for b in spins.indices]
+        keys = [key + pin for key in keys for pin in pins]
     z, numerators = tables[0]
     if method == "both":
         z2, numerators2 = tables[1]
         worst = abs(z2 / z - 1.0)
-        for key, num in numerators.items():
-            worst = max(worst, abs(num / z - numerators2[key] / z2))
+        for key, num, num2 in zip(keys, numerators, numerators2):
+            if key:
+                worst = max(worst, abs(num / z - num2 / z2))
         if worst > SELF_CHECK_TOL:
             raise DomainError(
                 "correlation routes disagree: marginal vs extension "
                 f"differ by {worst!r} (tolerance {SELF_CHECK_TOL!r})"
             )
 
-    values = {Configuration._make(key): num / z for key, num in numerators.items()}
+    values = {Configuration._make(k): num / z for k, num in zip(keys, numerators) if k}
     values[EMPTY_CONFIG] = 1.0
     return CorrelationTable(window, values, z)
 
@@ -836,10 +833,10 @@ def _finite(text: str) -> float:
 
 def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
     """Read a table in the `write_table` format.  A row, or a `window` or
-    `partition_value` header, that does not parse; a row or
-    `partition_value` that is not finite; a second row for one
-    configuration; and a second header with one key, are each a
-    DomainError naming its line."""
+    `partition_value` header, that does not parse; a row with an unknown
+    or vacuum spin label or a repeated site; a row or `partition_value`
+    that is not finite; a second row for one configuration; and a second
+    header with one key, are each a DomainError naming its line."""
     headers: dict = {}
     values: dict = {}
     window = partition_value = None
@@ -865,7 +862,9 @@ def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
                     config = EMPTY_CONFIG
                     if sites_text:
                         sites = map(_parse_site, sites_text.split(";"))
-                        labels = map(spins.index_of, labels_text.split(";"))
+                        labels = [spins.index_of(b) for b in labels_text.split(";")]
+                        if spins.vacuum_index in labels:
+                            raise ValueError("a spin label names the vacuum")
                         config = Configuration(zip(sites, labels, strict=True))
                     if config in values:
                         raise ValueError("an earlier row has the same configuration")
@@ -874,7 +873,7 @@ def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
                     if line != "support,spins,value":
                         raise DomainError(f"unexpected table header row: {line!r}")
                     body_seen = True
-            except ValueError as exc:
+            except (ValueError, DomainError) as exc:
                 message = f"{path} line {number}: cannot read {line!r} ({exc})"
                 raise DomainError(message) from None
     if not window:

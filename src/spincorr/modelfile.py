@@ -159,7 +159,9 @@ def parse_model(text: str) -> Model:
         radius = int(value)
     except ValueError:
         raise ModelFileError(f"range must be an integer, got {value!r}", line_no)
-    if radius >= 0 and (2 * radius + 1) ** dimension > MAX_BALL_SITES:
+    if radius < 0:
+        raise ModelFileError(f"range must be >= 0, got {radius}", line_no)
+    if (2 * radius + 1) ** dimension > MAX_BALL_SITES:
         raise ModelFileError(
             f"range {radius} gives interaction balls of "
             f"{(2 * radius + 1) ** dimension} sites in dimension {dimension}; "
@@ -185,27 +187,39 @@ def parse_model(text: str) -> Model:
             raise ModelFileError(f"unknown spin label {label!r}", line_no)
         return labels.index(label)
 
-    entries = {}
+    # each coupling and onebody line is built alone first (a coupling beside
+    # the earlier one it mirrors), so the potential's and the field's own
+    # checks name the line that fails them
+    def check_line(line_no: int, make, *args) -> None:
+        try:
+            make(*args)
+        except Exception as exc:
+            raise ModelFileError(str(exc), line_no)
+
+    entries: dict = {}
     for line_no, off_text, a_text, b_text, val in couplings:
         offset = _parse_offset(off_text, dimension, line_no)
-        key = (offset, spin_index(a_text, line_no), spin_index(b_text, line_no))
+        a, b = spin_index(a_text, line_no), spin_index(b_text, line_no)
+        key, mirror = (offset, a, b), (tuple(-c for c in offset), b, a)
         if key in entries and entries[key] != val:
             raise ModelFileError(f"conflicting duplicate coupling {off_text}", line_no)
+        pair = {mirror: entries[mirror]} if mirror in entries else {}
+        pair[key] = val
+        check_line(line_no, PairPotential.create, dimension, radius, pair, spins, vacuum_flag)
         entries[key] = val
-
-    try:
-        potential = PairPotential.create(dimension, radius, entries, spins, vacuum_flag)
-    except Exception as exc:
-        raise ModelFileError(str(exc), couplings[0][0] if couplings else 1)
+    potential = PairPotential.create(dimension, radius, entries, spins, vacuum_flag)
 
     one_body = [0.0] * spins.size
+    seen = set()
     for line_no, label, val in onebody:
-        one_body[spin_index(label, line_no)] = val
-
-    try:
-        field: OnePointField = PairField(potential, spins, one_body)
-    except Exception as exc:
-        raise ModelFileError(str(exc), onebody[0][0] if onebody else 1)
+        spin = spin_index(label, line_no)
+        if spin in seen and one_body[spin] != val:
+            raise ModelFileError(f"conflicting duplicate onebody {label}", line_no)
+        alone = [0.0] * spins.size
+        alone[spin] = one_body[spin] = val
+        check_line(line_no, PairField, potential, spins, alone)
+        seen.add(spin)
+    field: OnePointField = PairField(potential, spins, one_body)
 
     for line_no, site_text, x_text, u_text, amount in perturbs:
         site = _parse_offset(site_text, dimension, line_no)

@@ -36,7 +36,7 @@ from .errors import (
     GateNotCertifiedError,
     SolverDivergenceError,
 )
-from .exact import CorrelationTable, block_ranges, map_blocks, rho_probe
+from .exact import CorrelationTable, map_blocks, rho_probe
 from .fields import (
     FieldBounds,
     OnePointField,
@@ -53,7 +53,6 @@ from .lattice import (
     chebyshev_distance,
     distance_to_complement,
     interior,
-    merge_items,
     split_min,
 )
 
@@ -203,7 +202,10 @@ class OperatorContext:
         return got
 
     def row(self, x: Configuration) -> tuple:
-        """(free_term, keys, coeffs) for one domain entry."""
+        """(free_term, keys, coeffs) for one domain entry.  A key lists the
+        (offset from t, spin) pairs of its sites outside x's remainder: ()
+        for the remainder itself, the y sites for rest + y, and those plus
+        t's zero offset for rest + y + beta at t."""
         t, x_t, rest = split_min(x)
         denom, weights = self._gamma_weights(t, rest)
         star = self._star
@@ -212,7 +214,7 @@ class OperatorContext:
         keys: list = []
         coeffs: list = []
         if len(x) > 1:
-            keys.append(rest)
+            keys.append(())
             coeffs.append(gamma_x)
 
         candidates = ball(t, self.radius) - x.support - {t}
@@ -226,6 +228,7 @@ class OperatorContext:
             for s in sorted(candidates)
             if any(kf(t, s, a, b) for a in star for b in star)
         ]
+        zero = _sub(t, t)
         weight_sum = denom  # 1 + sum of star weights
         for k in range(1, len(sites) + 1):
             for subset in combinations(sites, k):
@@ -245,13 +248,11 @@ class OperatorContext:
                     coeff = gamma_x * kappa
                     if coeff == 0.0:
                         continue
-                    y_items = tuple(zip(subset, assignment))
-                    base_items = merge_items(rest.items, y_items)
-                    keys.append(Configuration._make(base_items))
+                    y = tuple([(_sub(s, t), b) for s, b in zip(subset, assignment)])
+                    keys.append(y)
                     coeffs.append(coeff)
                     for beta in star:
-                        beta_items = merge_items(base_items, ((t, beta),))
-                        keys.append(Configuration._make(beta_items))
+                        keys.append(y + ((zero, beta),))
                         coeffs.append(-coeff)
         return free_term, keys, coeffs
 
@@ -267,9 +268,10 @@ class OperatorContext:
         that shape are stamped from it by integer codes.  A configuration's
         code sums (1 + star position of the spin) * base**rank(site) over
         the sorted window, so a key's code is the remainder's code plus the
-        code of the key's other sites moved to t.  Such a key is in the
-        domain exactly when those sites lie in the window and it has at
-        most k_max sites, so t and the entry's size fix which keys drop."""
+        code of the key's (offset, spin) pairs placed at t.  Such a key is
+        in the domain exactly when those sites lie in the window and it has
+        at most k_max sites, so t and the entry's size fix which keys drop.
+        All rows are one ``map_blocks`` job."""
         if self.rows is not None:
             return
         import numpy
@@ -287,30 +289,20 @@ class OperatorContext:
             del near[t]
             clip = frozenset(near.values()) if self.restrict_to_window else None
             site_shapes[t] = (near, clip)
-        templates: dict = {}  # shape -> (free_term, coeffs, extras, stamps)
+        templates: dict = {}  # shape -> (free_term, keys, coeffs, stamps)
 
-        def template(x: Configuration) -> tuple:
-            free_term, keys, coeffs = self.row(x)
-            t = x.items[0][0]
-            rest = x.mapping.keys() - {t}
-            extras = [
-                tuple((_sub(s, t), sp) for s, sp in key.items if s not in rest)
-                for key in keys
-            ]
-            return free_term, coeffs, extras, {}
-
-        def stamp(coeffs: list, extras: list, t: tuple, size: int) -> tuple:
-            """(code of each kept key's template sites placed at t, the kept
+        def stamp(keys: list, coeffs: list, t: tuple, size: int) -> tuple:
+            """(code of each kept key's sites placed at t, the kept
             coefficients, dropped mass) for entries of `size` sites."""
             deltas = []
             kept = []
             dropped = 0.0
-            for extra, coeff in zip(extras, coeffs):
-                at = [place.get(tuple(a + b for a, b in zip(t, off))) for off, _ in extra]
-                if size - 1 + len(extra) > k_max or None in at:
+            for key, coeff in zip(keys, coeffs):
+                at = [place.get(tuple(a + b for a, b in zip(t, off))) for off, _ in key]
+                if size - 1 + len(key) > k_max or None in at:
                     dropped += abs(coeff)
                 else:
-                    deltas.append(sum(digit[sp] * p for (_, sp), p in zip(extra, at)))
+                    deltas.append(sum(digit[sp] * p for (_, sp), p in zip(key, at)))
                     kept.append(coeff)
             return deltas, tuple(kept), dropped
 
@@ -329,20 +321,18 @@ class OperatorContext:
                 )
                 got = templates.get(shape)
                 if got is None:
-                    got = templates[shape] = template(domain[i])
-                free_term, coeffs, extras, stamps = got
+                    got = templates[shape] = (*self.row(domain[i]), {})
+                free_term, keys, coeffs, stamps = got
                 placed = stamps.get((t, size))
                 if placed is None:
-                    placed = stamps[t, size] = stamp(coeffs, extras, t, size)
+                    placed = stamps[t, size] = stamp(keys, coeffs, t, size)
                 deltas, kept, dropped = placed
                 rest_code = codes[i] - digit[x_t] * place[t]
                 idxs = tuple([code_index[rest_code + d] for d in deltas])
                 out.append((free_term, idxs, kept, dropped))
             return out
 
-        rows: list = []
-        for chunk in map_blocks(job, block_ranges(len(domain), 256)):
-            rows.extend(chunk)
+        (rows,) = map_blocks(job, [(0, len(domain))])
         self.rows = rows
         self.free = numpy.array([row[0] for row in rows], float)
         lengths = [len(row[1]) for row in rows]

@@ -112,4 +112,8 @@ MALFORMED_TABLES = {
         3,
     ),
     "repeated-window-header": (_TABLE.replace("support", "# window = 0\nsupport"), 3),
+    "vacuum-label-only": (_TABLE + "0,0,0.9\n", 5),
+    "unknown-label": (_TABLE + "0,x,0.5\n", 5),
+    "repeated-site": (_TABLE + "0;0,1;1,0.5\n", 5),
+    "empty-site": (_TABLE + ";1,1;1,0.5\n", 5),
 }

@@ -160,3 +160,24 @@ class TestErrors:
 
     def test_vacuum_not_among_spins(self):
         self.expect(BASE.replace("vacuum = 0", "vacuum = z"), "z")
+
+    def test_later_coupling_reports_its_own_line(self):
+        text = BASE.replace("0.2", "0.1") + "\ncoupling (2) 1 1 = 0.1\n"
+        self.expect(text, "exceeds the declared radius", line=8)
+
+    def test_mirrored_conflict_reports_the_later_line(self):
+        self.expect(BASE + "\ncoupling (-1) 1 1 = 0.7\n", "inconsistent", line=8)
+
+    def test_later_onebody_reports_its_own_line(self):
+        text = BASE + "onebody 1 = 0.0\nonebody 0 = 5.0\n"
+        self.expect(text, "zero one-body energy", line=8)
+
+    def test_conflicting_onebody(self):
+        self.expect(BASE + "onebody 1 = 0.0\nonebody 1 = 5.0\n", "onebody 1", line=8)
+
+    def test_repeated_equal_onebody_is_accepted(self):
+        model = parse_model(BASE + "onebody 1 = 0.5\nonebody 1 = 0.5\n")
+        assert model.one_body == (0.0, 0.5)
+
+    def test_negative_range_reports_the_range_line(self):
+        self.expect(BASE.replace("range = 1", "range = -1"), "range", line=5)

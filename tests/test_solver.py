@@ -90,10 +90,18 @@ def assert_rows_match_oracle(rng, field, window: tuple) -> None:
         assert got == pytest.approx(want, abs=1e-12), x
 
 
+def resolve(x: Configuration, key: tuple) -> Configuration:
+    """The configuration a row key of x names: x's remainder plus the key's
+    (offset from t, spin) pairs placed at x's minimal site t."""
+    t, _, rest = split_min(x)
+    placed = [(tuple(a + o for a, o in zip(t, off)), spin) for off, spin in key]
+    return Configuration(rest.items + tuple(placed))
+
+
 def remainder_coefficient(field, x: Configuration) -> float:
     """Coefficient of the row of x on its remainder x' (gamma for |x| > 1)."""
     _, keys, coeffs = OperatorContext(field, x.support, len(x)).row(x)
-    assert keys[0] == split_min(x)[2]
+    assert resolve(x, keys[0]) == split_min(x)[2]
     return coeffs[0]
 
 
@@ -164,6 +172,7 @@ class TestRowIngredients:
             free, keys, coeffs = ctx.row(x)
             agg: dict = {}
             for key, coeff in zip(keys, coeffs):
+                key = resolve(x, key)
                 agg[key] = agg.get(key, 0.0) + coeff
             rows[x] = (free, agg)
 
@@ -328,7 +337,7 @@ class TestRowTemplates:
                 kept = []
                 dropped = 0.0
                 for key, coeff in zip(keys, coeffs):
-                    j = index.get(key)
+                    j = index.get(resolve(x, key))
                     if j is None:
                         dropped += abs(coeff)
                     else:
