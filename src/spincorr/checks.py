@@ -337,8 +337,8 @@ def check_environment_condition(
     for t, s, z, x, ys, vs in plan:
         def bnd(base: Configuration, spin: int) -> dict:
             if spin == vac:
-                return dict(base.mapping)
-            m = dict(base.mapping)
+                return dict(base.items)
+            m = dict(base.items)
             m[s] = spin
             return m
 

@@ -41,7 +41,7 @@ from .exact import (
     verify_correlation_equation,
     write_table,
 )
-from .fields import decay_sums, field_bounds, pair_potential_norm, remark1_sufficiency
+from .fields import field_bounds, pair_potential_norm, remark1_sufficiency
 from .lattice import Configuration, box
 from .modelfile import Model, load_model
 
@@ -318,23 +318,27 @@ def cmd_converge(args) -> int:
 def cmd_bounds(args) -> int:
     model = load_model(args.model)
     bounds = field_bounds(model.field)
-    decay = decay_sums(model.field)
-    phi_norm = pair_potential_norm(model.potential, model.spins)
-    remark_lhs, remark_pass = remark1_sufficiency(phi_norm, model.spins.n_x)
+    # Remark 1 gates vacuum potentials only
+    pair_norm = remark1_lhs = remark1 = "unavailable"
+    if model.potential.vacuum:
+        phi_norm = pair_potential_norm(model.potential, model.spins)
+        remark_lhs, remark_pass = remark1_sufficiency(phi_norm, model.spins.n_x)
+        pair_norm, remark1_lhs = repr(phi_norm), repr(remark_lhs)
+        remark1 = "pass" if remark_pass else "FAIL"
     lines = [f"# {k} = {v}" for k, v in _headers(model, args, 0.0).items() if k != "tolerance"]
     lines.extend(
         [
             f"norm_delta1 = {bounds.norm_delta1!r}",
-            f"decay_total = {decay.total!r}",
+            f"decay_total = {bounds.decay_total!r}",
             f"n_x = {bounds.n_x}",
             f"c1 = {bounds.c1!r}",
             f"c1_proof = {bounds.c1_proof!r}",
             f"c2 = {bounds.c2!r}",
             f"contraction_lhs = {bounds.contraction_lhs!r}",
             f"gate = {'pass' if bounds.passes else 'FAIL'}",
-            f"pair_norm = {phi_norm!r}",
-            f"remark1_lhs = {remark_lhs!r}",
-            f"remark1 = {'pass' if remark_pass else 'FAIL'}",
+            f"pair_norm = {pair_norm}",
+            f"remark1_lhs = {remark1_lhs}",
+            f"remark1 = {remark1}",
         ]
     )
     _emit(lines, args.out)

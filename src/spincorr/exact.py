@@ -422,9 +422,7 @@ def gibbs_distribution(
     _check_budget(field.spins.size ** len(window), "Gibbs table")
     transitions = _TransitionTable(field, window, boundary)
     weights = [0.0] * field.spins.size ** len(window)
-    _block_weights(transitions, weights)
-    z = _weight_sum(weights)
-    # enumerate_configs lists the configurations in code order
+    z = _weight_sum(_block_weights(transitions, weights))
     configs = enumerate_configs(window, field.spins)
     probabilities = {x: w / z for x, w in zip(configs, weights)}
     return GibbsTable(window, probabilities, z)
@@ -533,16 +531,13 @@ def rho_exact(
     if method != "marginal":
         weights = _telescoped_weights(transitions)
         tables.append((_weight_sum(weights), _fold_numerators(transitions, weights)))
-    keys = [()]  # by code, as the numerators are listed
-    for site in transitions.order:
-        pins = [() if b == transitions.vacuum else ((site, b),) for b in spins.indices]
-        keys = [key + pin for key in keys for pin in pins]
+    configs = enumerate_configs(window, spins)  # by code, as the numerators
     z, numerators = tables[0]
     if method == "both":
         z2, numerators2 = tables[1]
         worst = abs(z2 / z - 1.0)
-        for key, num, num2 in zip(keys, numerators, numerators2):
-            if key:
+        for x, num, num2 in zip(configs, numerators, numerators2):
+            if x:
                 worst = max(worst, abs(num / z - num2 / z2))
         if worst > SELF_CHECK_TOL:
             raise DomainError(
@@ -550,7 +545,7 @@ def rho_exact(
                 f"differ by {worst!r} (tolerance {SELF_CHECK_TOL!r})"
             )
 
-    values = {Configuration._make(k): num / z for k, num in zip(keys, numerators) if k}
+    values = {x: num / z for x, num in zip(configs, numerators) if x}
     values[EMPTY_CONFIG] = 1.0
     return CorrelationTable(window, values, z)
 
@@ -611,7 +606,7 @@ class _OracleReader:
         self.star = field.spins.star_indices
         sites = set(window) | table.window
         for x in table.values:
-            sites.update(x.mapping)
+            sites.update(s for s, _ in x.items)
         self.item_code: dict = {}
         self.at: dict = {}  # site -> the codes of its non-vacuum spins, star order
         outside = 0

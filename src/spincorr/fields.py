@@ -235,6 +235,8 @@ class PerturbedField(OnePointField):
         self.radius = base.radius
         self.homogeneous = False
         self.site = validate_site(site, base.dimension)
+        if not math.isfinite(amount):
+            raise ModelDefinitionError("the perturbation amount must be finite")
         self.bump = (x, u, amount)
 
     def eval(self, t, boundary, x, u):
@@ -330,9 +332,9 @@ def volume_steps(
             raise DomainError(f"boundary overlaps the window at {s!r}")
 
     vac = field.spins.vacuum_index
-    xmap = x.mapping
-    umap = u.mapping
-    env = dict(boundary.mapping)
+    xmap = dict(x.items)
+    umap = dict(u.items)
+    env = dict(boundary.items)
     for s in order[1:]:
         spin = xmap.get(s)
         if spin is not None:
@@ -360,16 +362,16 @@ def volume_steps(
 def norm_delta1(field: OnePointField) -> float:
     """Supremum of the one-point swap energy over spins and boundaries.
 
-    Scans every boundary pattern on the dependence neighborhood when that is
-    affordable; otherwise falls back to the exact decomposition a pair field
-    provides.  Unbounded dependence without such a bound is an error.
+    A pair field gives it exactly by its per-offset decomposition; any other
+    field scans every boundary pattern on the dependence neighborhood, which
+    is an error beyond NORM_SCAN_BUDGET patterns.
     """
     require_homogeneous(field)
+    if isinstance(field, PairField):
+        return field.norm_bound_exact()
     offsets = field.ball_offsets()
     count = field.spins.size ** len(offsets)
     if count > NORM_SCAN_BUDGET:
-        if isinstance(field, PairField):
-            return field.norm_bound_exact()
         raise ModelDefinitionError(
             f"norm scan needs {count} boundary patterns (budget {NORM_SCAN_BUDGET}) "
             "and the field provides no exact bound"

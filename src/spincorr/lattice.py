@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 from .errors import BudgetExceededError, DomainError, ModelDefinitionError
 
@@ -83,7 +83,7 @@ class Configuration:
     canonical enumeration order used by the volume telescoping.
     """
 
-    __slots__ = ("items", "_map", "_hash")
+    __slots__ = ("items", "_hash")
 
     def __init__(self, pairs: Iterable[tuple[Site, int]] = ()):
         items = tuple(sorted(pairs))
@@ -97,7 +97,6 @@ class Configuration:
                 if not isinstance(spin, int) or spin < 0:
                     raise DomainError(f"bad spin index {spin!r} at {site!r}")
         self.items = items
-        self._map = dict(items)
         self._hash = hash(items)
 
     @classmethod
@@ -105,18 +104,17 @@ class Configuration:
         # Fast path for internal callers that guarantee sorted, distinct sites.
         obj = object.__new__(cls)
         obj.items = items
-        obj._map = dict(items)
         obj._hash = hash(items)
         return obj
 
     @property
     def support(self) -> frozenset:
-        return frozenset(self._map)
+        return frozenset(site for site, _ in self.items)
 
     @property
-    def mapping(self) -> Mapping[Site, int]:
-        """Site -> spin index view.  Treat as read-only."""
-        return self._map
+    def mapping(self) -> dict:
+        """A new site -> spin index dict of the items."""
+        return dict(self.items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -221,11 +219,9 @@ def interior(window: Iterable[Site], r: int) -> frozenset:
     return frozenset(s for s in win if distance_to_complement(s, win) > r)
 
 
-def enumerate_configs(
-    window: Iterable[Site],
-    spins: SpinSpace,
-) -> Iterator[Configuration]:
-    """Enumerate configurations over a window in a deterministic order.
+def enumerate_configs(window: Iterable[Site], spins: SpinSpace) -> list:
+    """Every configuration over a window, in code order: the spin indices
+    of the sorted sites spell a base-q number, first site most significant.
 
     With the vacuum left implicit, the full spin assignments on the window
     and the sub-configurations on all supports of the window coincide.
@@ -238,13 +234,8 @@ def enumerate_configs(
             required=count,
             budget=DEFAULT_ENUM_BUDGET,
         )
-    vacuum = spins.vacuum_index
-    choices = spins.indices
-
-    def _gen():
-        for combo in itertools.product(choices, repeat=len(sites)):
-            yield Configuration._make(
-                tuple((site, spin) for site, spin in zip(sites, combo) if spin != vacuum)
-            )
-
-    return _gen()
+    keys = [()]
+    for site in sites:
+        pins = [() if b == spins.vacuum_index else ((site, b),) for b in spins.indices]
+        keys = [key + pin for key in keys for pin in pins]
+    return [Configuration._make(key) for key in keys]

@@ -188,11 +188,11 @@ def parse_model(text: str) -> Model:
         return labels.index(label)
 
     # each coupling and onebody line is built alone first (a coupling beside
-    # the earlier one it mirrors), so the potential's and the field's own
-    # checks name the line that fails them
-    def check_line(line_no: int, make, *args) -> None:
+    # the earlier one it mirrors), and each perturb line wraps the field, so
+    # the potential's and the fields' own checks name the line that fails them
+    def check_line(line_no: int, make, *args):
         try:
-            make(*args)
+            return make(*args)
         except Exception as exc:
             raise ModelFileError(str(exc), line_no)
 
@@ -223,9 +223,8 @@ def parse_model(text: str) -> Model:
 
     for line_no, site_text, x_text, u_text, amount in perturbs:
         site = _parse_offset(site_text, dimension, line_no)
-        field = PerturbedField(
-            field, site, spin_index(x_text, line_no), spin_index(u_text, line_no), amount
-        )
+        x, u = spin_index(x_text, line_no), spin_index(u_text, line_no)
+        field = check_line(line_no, PerturbedField, field, site, x, u, amount)
 
     digest = model_digest(text)
     return Model(dimension, spins, potential, tuple(one_body), field, digest, text)

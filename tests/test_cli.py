@@ -445,7 +445,8 @@ class TestBoundsCommand:
 
     def test_pair_norm_beyond_the_scan_budget(self, tmp_path, capsys, monkeypatch):
         # a 2-d range-2 ball holds 24 boundary sites: 3**24 patterns are
-        # beyond NORM_SCAN_BUDGET, so the norm comes from the pair bound
+        # beyond NORM_SCAN_BUDGET, and a pair field's norm comes from the
+        # pair bound without a scan
         from spincorr.fields import NORM_SCAN_BUDGET, PairField
 
         assert 3**24 > NORM_SCAN_BUDGET
@@ -466,6 +467,19 @@ class TestBoundsCommand:
         assert cli.main(["bounds", "--model", str(path)]) == 0
         out, _ = capsys.readouterr()
         assert calls and "norm_delta1 = 0.025" in out and "gate = pass" in out
+
+    def test_non_vacuum_potential_prints_the_gate(self, tmp_path, capsys):
+        # Remark 1 needs a vacuum potential; the gate constants do not
+        path = write_model(
+            tmp_path,
+            huge_chain("0.04") + "coupling (1) 0 1 = 0.03\nvacuum_potential = false\n",
+        )
+        assert cli.main(["bounds", "--model", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "norm_delta1 = 0.05\n" in out and "gate = pass\n" in out
+        for key in ("pair_norm", "remark1_lhs", "remark1"):
+            assert f"\n{key} = unavailable\n" in out
 
     @pytest.mark.parametrize("coupling", ["800", "1e300"])
     def test_huge_coupling_saturates(self, tmp_path, coupling):
@@ -581,6 +595,16 @@ class TestInputErrors:
         assert cli.main([*argv, "--model", model("perturbed")]) == 2
         _, err = capsys.readouterr()
         assert "need a translation-invariant field" in err
+
+    @pytest.mark.parametrize("amount", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [["exact", "--window=0:2"], ["verify"]])
+    def test_non_finite_perturbation_is_exit_two(self, tmp_path, capsys, argv, amount):
+        text = huge_chain("0.1") + f"perturb (0) 1 0 = {amount}\n"
+        path = write_model(tmp_path, text)
+        assert cli.main([*argv, "--model", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: line 6, column 1: the perturbation amount must be finite\n"
 
     def test_version(self):
         proc = run_cli("--version")

@@ -576,6 +576,15 @@ class TestGibbsDistribution:
             delta = delta_volume(field, window, boundary, cfg, ref)
             assert p == pytest.approx(p_ref * math.exp(delta), abs=1e-12)
 
+    def test_partition_value_is_one_sum(self):
+        # every enumeration sums its block sums of the walked weights the
+        # same way; 2**13 configurations walk in more than one block
+        field = load_model(str(MODELS / "chain_ln2.model")).field
+        window = box((0,), (12,))
+        z = partition_function(field, window)
+        assert gibbs_distribution(field, window).partition_value == z
+        assert rho_exact(field, window).partition_value == z
+
     def test_probability_outside_window(self):
         dist = gibbs_distribution(chain_field(0.2), WINDOW2)
         with pytest.raises(DomainError):
@@ -689,7 +698,10 @@ class TestRhoExact:
     def test_table_covers_every_configuration(self):
         window = chain_window(3)
         table = rho_exact(chain_field(0.2), window)
-        expected = {c for c in enumerate_configs(window, SPINS2)}
+        expected = {
+            Configuration((s, b) for s, b in zip(window, spins) if b)
+            for spins in itertools.product((0, 1), repeat=len(window))
+        }
         assert set(table.values) == expected
         assert len(table.values) == 2**3
 

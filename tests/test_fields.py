@@ -30,7 +30,7 @@ from spincorr.checks import (
     one_point_plan_exhaustive,
     one_point_plan_random,
 )
-from spincorr.fields import bounds_from_norms
+from spincorr.fields import OnePointField, bounds_from_norms
 
 from support import SPINS2, SPINS3, chain_field, config, random_pair_field
 
@@ -237,15 +237,29 @@ class TestNormsAndBounds:
         assert norm_delta1(chain_field(j)) == pytest.approx(2 * j, abs=1e-15)
 
     def test_pair_norm_fallback_equals_the_boundary_scan(self):
-        # norm_delta1 returns norm_bound_exact once the scan is over
-        # budget; where the scan fits, both give the same float
+        # norm_delta1 returns norm_bound_exact for a pair field; behind a
+        # plain delegate it scans every boundary pattern instead, and the
+        # scan gives the same float
+        class Delegate(OnePointField):
+            def __init__(self, base):
+                self.base = base
+                self.spins = base.spins
+                self.dimension = base.dimension
+                self.radius = base.radius
+
+            def eval(self, t, boundary, x, u):
+                return self.base.eval(t, boundary, x, u)
+
         rng = random.Random(14)
         shapes = [(1, q, r) for q in (2, 3, 4) for r in (1, 2)]
         for dimension, q, radius in shapes + [(2, 2, 1), (2, 3, 1)]:
             for _ in range(4):
                 spins = SpinSpace(tuple("abcd"[:q]), rng.randrange(q))
-                field = random_pair_field(rng, dimension, spins, radius)
-                assert field.norm_bound_exact() == norm_delta1(field)
+                pot = random_pair_field(rng, dimension, spins, radius).potential
+                one_body = [rng.uniform(-1.0, 1.0) for _ in range(q)]
+                one_body[spins.vacuum_index] = 0.0
+                field = PairField(pot, spins, one_body)
+                assert field.norm_bound_exact() == norm_delta1(Delegate(field))
 
     def test_decay_sums_chain(self):
         j = 0.2

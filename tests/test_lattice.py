@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,6 +57,16 @@ class TestConfiguration:
         c = Configuration((((0, 0), 1), ((2, 1), 1)))
         assert c.support == frozenset({(0, 0), (2, 1)})
         assert c.mapping[(2, 1)] == 1
+
+    def test_mapping_is_a_copy(self):
+        c = Configuration((((0,), 1), ((2,), 1)))
+        twin = Configuration((((0,), 1), ((2,), 1)))
+        m = c.mapping
+        m[(5,)] = 1
+        del m[(0,)]
+        assert c.support == frozenset({(0,), (2,)})
+        assert c.mapping == {(0,): 1, (2,): 1}
+        assert c == twin and hash(c) == hash(twin)
 
     def test_equality_and_hash(self):
         a = Configuration((((0,), 1), ((1,), 1)))
@@ -132,6 +144,18 @@ class TestEnumeration:
         spins = SpinSpace(("0", "1"))
         with pytest.raises(BudgetExceededError):
             list(enumerate_configs(box((0,), (29,)), spins))
+
+    def test_code_order(self):
+        # the spin indices of the sorted sites spell the list position in
+        # base q, first site most significant
+        spins = SpinSpace(("a", "0", "b"), vacuum_index=1)
+        w = box((0,), (2,))
+        sites = sorted(w)
+        expected = [
+            Configuration((s, b) for s, b in zip(sites, combo) if b != 1)
+            for combo in itertools.product(range(3), repeat=3)
+        ]
+        assert enumerate_configs(w, spins) == expected
 
     def test_deterministic_order(self):
         spins = SpinSpace(("0", "1"))

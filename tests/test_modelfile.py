@@ -179,5 +179,10 @@ class TestErrors:
         model = parse_model(BASE + "onebody 1 = 0.5\nonebody 1 = 0.5\n")
         assert model.one_body == (0.0, 0.5)
 
+    @pytest.mark.parametrize("amount", ["nan", "inf", "-inf"])
+    def test_non_finite_perturb_reports_its_line(self, amount):
+        text = BASE + f"perturb (0) 1 0 = 0.1\nperturb (0) 1 0 = {amount}\n"
+        self.expect(text, "perturbation amount must be finite", line=8)
+
     def test_negative_range_reports_the_range_line(self):
         self.expect(BASE.replace("range = 1", "range = -1"), "range", line=5)
