@@ -36,13 +36,14 @@ from .errors import (
     SpincorrError,
 )
 from .exact import (
+    read_probes,
     read_table,
     rho_exact,
     verify_correlation_equation,
     write_table,
 )
 from .fields import field_bounds, pair_potential_norm, remark1_sufficiency
-from .lattice import Configuration, box
+from .lattice import MAX_UNKNOWNS, Configuration, box, validate_site
 from .modelfile import Model, load_model
 
 DEFAULT_SEED = 20260816
@@ -71,6 +72,12 @@ def _parse_window(spec: str, dimension: int) -> frozenset:
         )
     if any(a > b for a, b in zip(lo, hi)):
         raise DomainError(f"window spec {spec!r} has lo > hi")
+    # counted before the box is built: no job solves or enumerates more sites
+    if (sites := math.prod(b - a + 1 for a, b in zip(lo, hi))) > MAX_UNKNOWNS:
+        message = f"window {spec!r} has {sites} sites, limit is {MAX_UNKNOWNS}"
+        raise BudgetExceededError(message, sites, MAX_UNKNOWNS)
+    validate_site(lo)
+    validate_site(hi)
     return box(lo, hi)
 
 
@@ -79,44 +86,6 @@ def _parse_windows(spec: str, dimension: int) -> list:
     if not parts:
         raise DomainError("empty window spec")
     return [_parse_window(p.strip(), dimension) for p in parts]
-
-
-def _parse_probe_line(line: str, model: Model) -> Configuration:
-    sites_text, sep, labels_text = line.partition(",")
-    if not sep:
-        raise DomainError(f"bad probe line {line!r} (want 'sites,labels')")
-    try:
-        sites = [tuple(int(c) for c in s.split()) for s in sites_text.split(";") if s]
-    except ValueError:
-        raise DomainError(
-            f"probe line {line!r}: site coordinates must be integers"
-        ) from None
-    labels = [l.strip() for l in labels_text.split(";") if l.strip()]
-    if len(sites) != len(labels) or not sites:
-        raise DomainError(f"probe line {line!r}: sites and labels must pair up")
-    for site in sites:
-        if len(site) != model.dimension:
-            raise DomainError(f"probe site {site} has wrong dimension")
-    items = tuple(
-        (site, model.spins.index_of(label)) for site, label in zip(sites, labels)
-    )
-    vac = model.spins.vacuum_index
-    if any(spin == vac for _, spin in items):
-        raise DomainError(f"probe line {line!r} assigns the vacuum spin")
-    return Configuration(items)
-
-
-def _load_probes(path: str, model: Model) -> list:
-    probes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            probes.append(_parse_probe_line(line, model))
-    if not probes:
-        raise DomainError(f"probe file {path!r} contains no probes")
-    return probes
 
 
 def _center_site(window: frozenset) -> tuple:
@@ -298,7 +267,7 @@ def cmd_converge(args) -> int:
         raise DomainError("converge needs at least two windows (last is reference)")
     tol = args.tol if args.tol is not None else 1e-12
     if args.probes:
-        probes = _load_probes(args.probes, model)
+        probes = read_probes(args.probes, model.spins)
     else:
         probes = _default_probes(windows[0], model)
 

@@ -37,7 +37,7 @@ from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import checks
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, SpincorrError
 from .fields import OnePointField, delta_volume
 from .lattice import (
     DEFAULT_ENUM_BUDGET,
@@ -826,12 +826,29 @@ def _finite(text: str) -> float:
     return value
 
 
+def _parse_row(sites_text: str, labels_text: str, spins: SpinSpace) -> Configuration:
+    """The configuration of a row's `sites,labels` fields, the one parser of
+    table rows and probe lines.  Both fields empty is the empty configuration."""
+    if not sites_text:
+        if labels_text:
+            raise ValueError("spin labels without sites")
+        return EMPTY_CONFIG
+    sites = map(_parse_site, sites_text.split(";"))
+    labels = [spins.index_of(b) for b in labels_text.split(";")]
+    if spins.vacuum_index in labels:
+        raise ValueError("a spin label names the vacuum")
+    return Configuration(zip(sites, labels, strict=True))
+
+
+def _unreadable(path: str, number: int, line: str, exc: Exception) -> DomainError:
+    return DomainError(f"{path} line {number}: cannot read {line!r} ({exc})")
+
+
 def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
-    """Read a table in the `write_table` format.  A row, or a `window` or
-    `partition_value` header, that does not parse; a row with an unknown
-    or vacuum spin label or a repeated site; a row or `partition_value`
-    that is not finite; a second row for one configuration; and a second
-    header with one key, are each a DomainError naming its line."""
+    """Read a table in the `write_table` format.  A row (`_parse_row`) or a
+    `window` or `partition_value` header that does not parse, a non-finite
+    value, an empty configuration not valued 1, or a repeated configuration
+    or header key is a DomainError naming its line."""
     headers: dict = {}
     values: dict = {}
     window = partition_value = None
@@ -854,23 +871,35 @@ def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
                         partition_value = _finite(value)
                 elif line and body_seen:
                     sites_text, labels_text, value_text = line.split(",")
-                    config = EMPTY_CONFIG
-                    if sites_text:
-                        sites = map(_parse_site, sites_text.split(";"))
-                        labels = [spins.index_of(b) for b in labels_text.split(";")]
-                        if spins.vacuum_index in labels:
-                            raise ValueError("a spin label names the vacuum")
-                        config = Configuration(zip(sites, labels, strict=True))
+                    config = _parse_row(sites_text, labels_text, spins)
                     if config in values:
                         raise ValueError("an earlier row has the same configuration")
                     values[config] = _finite(value_text)
+                    if not config and values[config] != 1.0:
+                        raise ValueError("the empty configuration's value must be 1")
                 elif line:
                     if line != "support,spins,value":
                         raise DomainError(f"unexpected table header row: {line!r}")
                     body_seen = True
-            except (ValueError, DomainError) as exc:
-                message = f"{path} line {number}: cannot read {line!r} ({exc})"
-                raise DomainError(message) from None
+            except (ValueError, SpincorrError) as exc:
+                raise _unreadable(path, number, line, exc) from None
     if not window:
         window = frozenset().union(*(c.support for c in values))
     return CorrelationTable(window, values, partition_value, headers)
+
+
+def read_probes(path: str, spins: SpinSpace) -> list:
+    """Read a probe file: each stripped line that is not blank or a `#`
+    comment is a table row without its value (`_parse_row`).  A line that
+    does not parse is a DomainError naming its line."""
+    probes = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                try:
+                    sites_text, labels_text = line.split(",")
+                    probes.append(_parse_row(sites_text, labels_text, spins))
+                except (ValueError, SpincorrError) as exc:
+                    raise _unreadable(path, number, line, exc) from None
+    return probes

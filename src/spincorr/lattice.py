@@ -19,6 +19,7 @@ Site = tuple  # d-tuple of ints
 MAX_COORD = 2**31
 
 DEFAULT_ENUM_BUDGET = 2**24
+MAX_UNKNOWNS = 2**20  # a solve domain holds at least one unknown per window site
 
 
 def validate_site(site, dimension: int | None = None) -> Site:

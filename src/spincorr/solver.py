@@ -47,6 +47,7 @@ from .fields import (
 )
 from .lattice import (
     DEFAULT_ENUM_BUDGET,
+    MAX_UNKNOWNS,
     Configuration,
     EMPTY_CONFIG,
     ball,
@@ -58,7 +59,6 @@ from .lattice import (
 
 DEFAULT_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
-MAX_UNKNOWNS = 2 ** 20
 FALLBACK_MAX_ITERS = 3000
 PROFILE_SOLVER_LIMIT = 2 ** 10
 RATE_NOISE_FLOOR = 1e-11

@@ -116,4 +116,22 @@ MALFORMED_TABLES = {
     "unknown-label": (_TABLE + "0,x,0.5\n", 5),
     "repeated-site": (_TABLE + "0;0,1;1,0.5\n", 5),
     "empty-site": (_TABLE + ";1,1;1,0.5\n", 5),
+    "labels-without-sites": (_TABLE.replace(",,1.0", ",1,0.5"), 4),
+    "empty-value-not-one": (_TABLE.replace(",,1.0", ",,0.7"), 4),
+}
+# probe lines (spins 0 1, vacuum 0) that must be refused; each file puts
+# the line at line 3, after a comment and a valid probe
+MALFORMED_PROBES = {
+    name: f"# probes\n0,1\n{line}\n"
+    for name, line in {
+        "empty-site": "0;;1,1;1",
+        "empty-label": "0;1,1;;1",
+        "spaced-label": "0, 1",
+        "value-field": "0,1,0.5",
+        "unknown-label": "0,x",
+        "vacuum-label": "0,0",
+        "repeated-site": "0;0,1;1",
+        "non-integer-site": "x,1",
+        "unpaired-labels": "0;1,1",
+    }.items()
 }

@@ -9,7 +9,7 @@ import pytest
 
 from spincorr import SpinSpace, cli, read_table
 
-from support import MALFORMED_TABLES
+from support import MALFORMED_PROBES, MALFORMED_TABLES
 
 ROOT = pathlib.Path(__file__).parent.parent
 MODELS = ROOT / "models"
@@ -414,8 +414,21 @@ class TestConvergeCommand:
         assert cli.main([*argv, "--probes", str(probes)]) == 2
         _, err = capsys.readouterr()
         assert err.strip().splitlines() == [
-            "error: probe line 'x,1': site coordinates must be integers"
+            f"error: {probes} line 1: cannot read 'x,1' "
+            "(invalid literal for int() with base 10: 'x')"
         ]
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_PROBES))
+    def test_malformed_probe_is_exit_two(self, tmp_path, capsys, name):
+        # each line used to run with exit 0 or fail without naming its line
+        probes = tmp_path / "probes.txt"
+        probes.write_text(MALFORMED_PROBES[name], encoding="utf-8")
+        argv = ["converge", "--model", model("chain_gated"), "--window=-1:1;-2:2"]
+        assert cli.main([*argv, "--probes", str(probes)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {probes} line 3: ")
+        assert len(err.splitlines()) == 1
 
     def test_needs_two_windows(self):
         proc = run_cli(
@@ -605,6 +618,37 @@ class TestInputErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: line 6, column 1: the perturbation amount must be finite\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--model", model("chain_gated"), "--window=0:99999999999"],
+            ["solve", "--model", model("grid_gated"), "--window=0,0:99999,99999"],
+            [
+                "verify",
+                "--model",
+                model("chain_gated"),
+                "--exhaustive",
+                "--window=0:99999999999",
+            ],
+        ],
+        ids=["exact", "solve-2d", "verify-exhaustive"],
+    )
+    def test_huge_window_is_exit_three_before_the_box(self, capsys, monkeypatch, argv):
+        # the box used to be built first: a MemoryError traceback, exit 1
+        def box(lo, hi):
+            raise AssertionError("the box was built")
+
+        monkeypatch.setattr(cli, "box", box)
+        assert cli.main(argv) == 3
+        _, err = capsys.readouterr()
+        assert err.startswith("budget exceeded: window ") and "limit is 1048576" in err
+
+    def test_window_corner_beyond_the_coordinate_guard_is_exit_two(self, capsys):
+        argv = ["exact", "--model", model("chain_gated")]
+        assert cli.main([*argv, "--window=-3000000000:-2999999999"]) == 2
+        _, err = capsys.readouterr()
+        assert err == "error: site coordinate out of range: (-3000000000,)\n"
 
     def test_version(self):
         proc = run_cli("--version")

@@ -27,7 +27,12 @@ from spincorr import (
     write_table,
 )
 from spincorr import exact
-from spincorr.exact import CorrelationTable, _TransitionTable, _VolumeWalker
+from spincorr.exact import (
+    CorrelationTable,
+    _TransitionTable,
+    _VolumeWalker,
+    read_probes,
+)
 from spincorr.fields import (
     OnePointField,
     PerturbedField,
@@ -1092,3 +1097,17 @@ class TestTableIO:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(DomainError, match=match):
             read_table(str(path), SPINS2)
+
+    def test_probe_lines_read_as_table_rows(self, tmp_path):
+        # a probe line is a table row without its value: one parser reads both
+        rng = random.Random(5)
+        field = random_pair_field(rng, 1, SPINS3, 1, max_coupling=0.2)
+        path = tmp_path / "table.csv"
+        write_table(str(path), rho_exact(field, chain_window(3)), SPINS3)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rows = lines[lines.index("support,spins,value") + 1 :]
+        probes = tmp_path / "probes.txt"
+        probes.write_text("".join(r.rpartition(",")[0] + "\n" for r in rows))
+        got = read_probes(str(probes), SPINS3)
+        assert got == list(read_table(str(path), SPINS3).values)
+        assert len(got) == 27 and got[0] == EMPTY_CONFIG
