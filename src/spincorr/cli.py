@@ -174,7 +174,7 @@ def cmd_exact(args) -> int:
     lines = [
         f"window_sites = {len(window)}",
         f"partition_value = {table.partition_value!r}",
-        f"table_entries = {len(table.values)}",
+        f"table_entries = {len(table.codes)}",
         report.summary(),
     ]
     if not report.passed:
@@ -239,8 +239,7 @@ def cmd_solve(args) -> int:
 
     if args.exact:
         exact_table = read_table(args.exact, model.spins)
-        sites = exact_table.window.union(*(c.support for c in exact_table.values))
-        for site in sorted(sites):
+        for site in exact_table.sites:
             if len(site) != model.dimension:
                 raise DomainError(
                     f"{args.exact}: site {site!r} is not {model.dimension}-dimensional"

@@ -21,18 +21,19 @@ The walks assume a volume-consistent field, whose walked energy does not
 depend on the path; only `rho_exact`'s default two-route check refuses
 one that is not, because its routes then part.
 
-The correlation-equation checker re-implements the equation it tests
-from its own loops (no code shared with the solver module).  It reads
-the table by integer code through `_OracleReader`, built once per
-`verify_correlation_equation` call: one dict from code to value, and each
-(site, spin)'s kernel terms listed once, so that checking an entry builds
-no `Configuration`.
+A `CorrelationTable` holds its values by integer code.  The
+correlation-equation checker re-implements the equation it tests from
+its own loops (no code shared with the solver module).  It reads the
+table by code through `_OracleReader`, built once per call: the table's
+code dict, and each (site, spin)'s kernel terms listed once, so that
+checking an entry builds no `Configuration`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -46,6 +47,7 @@ from .lattice import (
     SpinSpace,
     concat,
     enumerate_configs,
+    validate_site,
 )
 
 MAX_SAFE_ENERGY = 700.0
@@ -428,23 +430,67 @@ def gibbs_distribution(
     return GibbsTable(window, probabilities, z)
 
 
-@dataclass(frozen=True)
 class CorrelationTable:
     """Correlation values on a window, including the empty configuration
-    (value 1).  Lookups outside the window return 0."""
+    (value 1).  Lookups outside the window return 0.
 
-    window: frozenset
-    values: Mapping[Configuration, float]
-    partition_value: float | None = None
-    headers: Mapping[str, str] = dataclass_field(default_factory=dict)
+    The constructor takes a Configuration -> value mapping.  `codes` holds
+    the values by the code of `OperatorContext`: over `sites`, the sorted
+    window and any entry's site beyond it, the site of rank i has place
+    (1 + len(star))**i and digit 0 for vacuum or 1 .. n_x for the spins
+    `star` (by default, those the entries hold).  `entries` lists (code,
+    items) in (size, items) order, the order of a written table; `values`
+    decodes on demand."""
+
+    def __init__(self, window, values, partition_value=None, headers=None, star=None):
+        self.window = frozenset(window)
+        self.partition_value = partition_value
+        self.headers = {} if headers is None else headers
+        self.star = tuple(sorted({b for x in values for _, b in x.items}) if star is None else star)
+        self.sites = tuple(sorted(self.window.union(*(x.support for x in values))))
+        self._place = {s: (len(self.star) + 1) ** i for i, s in enumerate(self.sites)}
+        self._digit = {b: d for d, b in enumerate(self.star, 1)}
+        rows = sorted(values.items(), key=lambda kv: (len(kv[0]), kv[0].items))
+        self.entries = [(self._encode(x.items), x.items) for x, _ in rows]
+        self.codes = {code: v for (code, _), (_, v) in zip(self.entries, rows)}
+
+    @classmethod
+    def from_codes(cls, window, star, codes: dict, partition_value, k_max: int):
+        """The table whose `codes` (kept) hold each entry of <= k_max sites."""
+        table = cls(window, {}, partition_value, star=star)
+        table.codes = codes
+        table.entries = _ordered_entries(table.sites, table.star, k_max)
+        return table
+
+    def _encode(self, items: tuple) -> int:
+        """The code of a configuration's items (KeyError outside the coding)."""
+        return sum([self._digit[b] * self._place[s] for s, b in items])
 
     def value(self, config: Configuration) -> float:
-        if not config.support <= self.window:
-            return 0.0
-        return self.values.get(config, 0.0)
+        if config.support <= self.window and all(b in self._digit for _, b in config.items):
+            return self.codes.get(self._encode(config.items), 0.0)
+        return 0.0
+
+    @cached_property
+    def values(self) -> dict:
+        """Configuration -> value of every entry, in (size, items) order."""
+        return {Configuration._make(items): self.codes[code] for code, items in self.entries}
 
     def sorted_items(self) -> list:
-        return sorted(self.values.items(), key=lambda kv: (len(kv[0]), kv[0].items))
+        return list(self.values.items())
+
+
+def _ordered_entries(sites: Sequence[tuple], star: Sequence[int], k_max: int) -> list:
+    """(code, items) of each configuration of at most k_max of the sites,
+    in (size, items) order: from the last site back, the k-site ones from
+    rank r up are those starting at r, by spin and rest, then those above r."""
+    tails = [[(0, ())]] + [[] for _ in range(k_max)]
+    for r in range(len(sites) - 1, -1, -1):
+        pins = [(d * (len(star) + 1) ** r, ((sites[r], b),)) for d, b in enumerate(star, 1)]
+        for k in range(min(k_max, len(sites) - r), 0, -1):
+            head = [(c + code, pin + items) for c, pin in pins for code, items in tails[k - 1]]
+            tails[k] = head + tails[k]
+    return [entry for tail in tails for entry in tail]
 
 
 def _fold_numerators(transitions: _TransitionTable, weights: list) -> list:
@@ -531,13 +577,18 @@ def rho_exact(
     if method != "marginal":
         weights = _telescoped_weights(transitions)
         tables.append((_weight_sum(weights), _fold_numerators(transitions, weights)))
-    configs = enumerate_configs(window, spins)  # by code, as the numerators
+    # the table code at each walk code, whose digit k is the spin index of
+    # window site k, first site most significant
+    digit = {b: d for d, b in enumerate(spins.star_indices, 1)}
+    codes = [0]
+    for place in [spins.size**k for k in range(len(window))]:
+        codes = [c + digit.get(b, 0) * place for c in codes for b in spins.indices]
     z, numerators = tables[0]
     if method == "both":
         z2, numerators2 = tables[1]
         worst = abs(z2 / z - 1.0)
-        for x, num, num2 in zip(configs, numerators, numerators2):
-            if x:
+        for code, num, num2 in zip(codes, numerators, numerators2):
+            if code:
                 worst = max(worst, abs(num / z - num2 / z2))
         if worst > SELF_CHECK_TOL:
             raise DomainError(
@@ -545,9 +596,9 @@ def rho_exact(
                 f"differ by {worst!r} (tolerance {SELF_CHECK_TOL!r})"
             )
 
-    values = {x: num / z for x, num in zip(configs, numerators) if x}
-    values[EMPTY_CONFIG] = 1.0
-    return CorrelationTable(window, values, z)
+    values = dict(zip(codes, [num / z for num in numerators]))
+    values[0] = 1.0
+    return CorrelationTable.from_codes(window, spins.star_indices, values, z, len(window))
 
 
 def rho_probe(
@@ -586,16 +637,15 @@ class _OracleReader:
     """The table and the kernel terms of one oracle call, read by integer
     code, so that no per-entry step builds a `Configuration`.
 
-    Each site of the sorted union of the oracle's window, the table's
-    window and every entry's support gets one base-q digit, place q**i
-    and mask bit 1 << i.  A digit is 0 for vacuum and 1 .. n_x for the
-    non-vacuum spins in symbol order, so a configuration's code is the sum
-    of digit * place over its items; `item_code` maps each (site, spin) to
-    that term and the site's bit.  `values` holds the code of every entry
-    supported inside the table's window: reading a code that is absent
-    gives 0, as `CorrelationTable.value` does for a missing configuration
-    and for one that leaves the table's window.
-    """
+    Each site of the sorted union of the oracle's window and the table's
+    `sites` gets one base-q digit, place q**i and mask bit 1 << i.  A
+    digit is 0 for vacuum and 1 .. n_x for the non-vacuum spins in symbol
+    order, so a configuration's code is the sum of digit * place over its
+    items, as in the table; `item_code` maps each (site, spin) to that
+    term and the site's bit.  `values` holds the code of every entry
+    supported inside the table's window (the table's own `codes` when
+    both codings and the window agree): reading a code that is absent
+    gives 0, as `CorrelationTable.value` does."""
 
     def __init__(
         self, field: OnePointField, window: frozenset, table: CorrelationTable
@@ -604,24 +654,22 @@ class _OracleReader:
         self.field = field
         self.window = window
         self.star = field.spins.star_indices
-        sites = set(window) | table.window
-        for x in table.values:
-            sites.update(s for s, _ in x.items)
+        sites = sorted(set(window).union(table.sites))
         self.item_code: dict = {}
         self.at: dict = {}  # site -> the codes of its non-vacuum spins, star order
         outside = 0
-        for i, s in enumerate(sorted(sites)):
+        for i, s in enumerate(sites):
             place, bit = q**i, 1 << i
             self.at[s] = tuple(d * place for d in range(1, q))
             for b, c in zip(self.star, self.at[s]):
                 self.item_code[s, b] = (c, bit)
             if s not in table.window:
                 outside |= bit
-        self.values: dict = {}
-        for x, v in table.values.items():
-            code, mask = self.encode(x.items)
-            if not mask & outside:
-                self.values[code] = v
+        if (sites, self.star, outside) == (list(table.sites), table.star, 0):
+            self.values = table.codes  # the same coding: read as it is
+        else:
+            coded = ((self.encode(items), table.codes[code]) for code, items in table.entries)
+            self.values = {c: v for (c, mask), v in coded if not mask & outside}
         self._terms: dict = {}
 
     def encode(self, items: tuple) -> tuple[int, int]:
@@ -760,9 +808,10 @@ def verify_correlation_equation(
     witness = ""
     count = 0
 
-    for x, lhs in table.sorted_items():
-        if not x:
+    for code, items in table.entries:  # sorted_items() order, undecoded
+        if not items:
             continue
+        x, lhs = Configuration._make(items), table.codes[code]
         rhs = correlation_rhs(field, window, table, x, reader)
         residual = abs(lhs - rhs)
         if math.isnan(residual):  # must not read as a pass
@@ -797,7 +846,7 @@ def write_table(
     row with empty support and spins fields.
     """
     lines = []
-    texts = {s: _site_text(s) for s in table.window}
+    texts = {s: _site_text(s) for s in table.sites}
     merged = dict(headers or {})
     merged["window"] = ";".join(texts[s] for s in sorted(table.window))
     merged["spins"] = " ".join(spins.symbols)
@@ -807,15 +856,11 @@ def write_table(
     for key, value in merged.items():
         lines.append(f"# {key} = {value}")
     lines.append("support,spins,value")
-    symbols = spins.symbols
-    for config, value in table.sorted_items():
-        items = config.items
-        try:
-            sites = ";".join([texts[s] for s, _ in items])
-        except KeyError:  # a read table may hold supports beyond its window
-            sites = ";".join([_site_text(s) for s, _ in items])
+    symbols, codes = spins.symbols, table.codes
+    for code, items in table.entries:
+        sites = ";".join([texts[s] for s, _ in items])
         labels = ";".join([symbols[i] for _, i in items])
-        lines.append(f"{sites},{labels},{value!r}")
+        lines.append(f"{sites},{labels},{codes[code]!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -866,7 +911,8 @@ def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
                         raise ValueError(f"an earlier line has the {key!r} header")
                     headers[key] = value
                     if key == "window":
-                        window = value and frozenset(map(_parse_site, value.split(";")))
+                        sites = (validate_site(_parse_site(t)) for t in value.split(";"))
+                        window = value and frozenset(sites)
                     elif key == "partition_value":
                         partition_value = _finite(value)
                 elif line and body_seen:
@@ -885,7 +931,7 @@ def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
                 raise _unreadable(path, number, line, exc) from None
     if not window:
         window = frozenset().union(*(c.support for c in values))
-    return CorrelationTable(window, values, partition_value, headers)
+    return CorrelationTable(window, values, partition_value, headers, spins.star_indices)
 
 
 def read_probes(path: str, spins: SpinSpace) -> list:

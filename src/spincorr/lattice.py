@@ -137,32 +137,9 @@ class Configuration:
 EMPTY_CONFIG = Configuration()
 
 
-def merge_items(a: tuple, b: tuple) -> tuple:
-    """Merge two sorted item tuples, rejecting overlapping supports."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        sa, sb = a[i][0], b[j][0]
-        if sa == sb:
-            raise DomainError(f"overlapping supports at site {sa!r}")
-        if sa < sb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
 def concat(x: Configuration, y: Configuration) -> Configuration:
     """Concatenation of configurations with disjoint supports."""
-    return Configuration._make(merge_items(x.items, y.items))
+    return Configuration(x.items + y.items)
 
 
 def split_min(x: Configuration) -> tuple[Site, int, Configuration]:

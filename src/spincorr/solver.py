@@ -3,9 +3,10 @@
 The correlation function solves a fixed-point equation rho = delta + K rho
 where K = gamma (S + T) acts on functions over finite non-vacuum
 configurations.  This module materializes the operator rows over a finite
-domain (supports inside a window, support size capped by k_max), iterates
-the equation, optionally cross-checks with a sparse direct (LU) solve,
-and evaluates the contraction and tail bounds that certify convergence.
+domain of integer codes (supports inside a window, support size capped by
+k_max), iterates the equation, optionally cross-checks with a sparse direct
+(LU) solve, and hands the values on by code in a `CorrelationTable`; it
+also evaluates the contraction and tail bounds that certify convergence.
 
 Row coefficients: for a configuration x with minimal site t and remainder
 x', the equation reads
@@ -25,8 +26,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, product
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from itertools import chain, combinations, islice, product
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # check_environment_condition is not called here; the benchmark hooks patch this name
 from .checks import check_environment_condition, require_environment_condition
@@ -49,12 +52,10 @@ from .lattice import (
     DEFAULT_ENUM_BUDGET,
     MAX_UNKNOWNS,
     Configuration,
-    EMPTY_CONFIG,
     ball,
     chebyshev_distance,
     distance_to_complement,
     interior,
-    split_min,
 )
 
 DEFAULT_TOL = 1e-12
@@ -113,7 +114,9 @@ class OperatorContext:
     The domain lists every non-vacuum configuration with support inside
     the window and support size at most k_max, in a fixed order that keeps
     each support's configurations together (from ``group_starts`` on).
-    Each row stores the free term, the referenced domain indices with
+    ``codes`` holds it: a code sums (1 + star position of the spin) *
+    base**rank(site) over the sorted window; ``domain`` decodes it.  Each
+    row stores the free term, the referenced domain indices with
     coefficients, and the absolute mass of references that fall outside
     the domain (those reads are 0 during iteration; the mass feeds the
     truncation certificate); both solve routes read the flat arrays
@@ -152,27 +155,34 @@ class OperatorContext:
                 required=count,
                 budget=MAX_UNKNOWNS,
             )
-        self.domain, self.group_starts = self._build_domain()
+        places = [(self.spins.n_x + 1) ** i for i in range(n_sites)]
+        self.codes: list = []
+        self.group_starts: list = []
+        for k in range(1, self.k_max + 1):
+            digits = list(product(range(1, self.spins.n_x + 1), repeat=k))
+            start = len(self.codes)
+            self.codes += [sum(map(mul, d, p)) for p, d in product(combinations(places, k), digits)]
+            self.group_starts += range(start, len(self.codes), len(digits))
         self.rows: list | None = None
 
-    def _build_domain(self) -> tuple:
-        sites = sorted(self.window)
-        star = self._star
-        out = []
-        starts = []
-        for k in range(1, self.k_max + 1):
-            for support in combinations(sites, k):
-                starts.append(len(out))
-                for assignment in product(star, repeat=k):
-                    out.append(Configuration._make(tuple(zip(support, assignment))))
-        return tuple(out), starts
+    def _pairs(self) -> Iterator[tuple]:
+        """(support, spins) of every unknown, in domain order."""
+        return chain.from_iterable(
+            product(combinations(sorted(self.window), k), product(self._star, repeat=k))
+            for k in range(1, self.k_max + 1)
+        )
 
-    def _gamma_weights(self, t: tuple, rest: Configuration) -> tuple:
-        """(denominator, weights-by-star-spin) for boundary rest at site t."""
+    @cached_property
+    def domain(self) -> tuple:
+        """The unknowns as Configurations, in domain order."""
+        return tuple(Configuration._make(tuple(zip(*pair))) for pair in self._pairs())
+
+    def _gamma_weights(self, t: tuple, rest: tuple) -> tuple:
+        """(denominator, weights-by-star-spin) for boundary items rest at t."""
         field = self.field
         near = tuple(
             (s, sp)
-            for s, sp in rest.items
+            for s, sp in rest
             if chebyshev_distance(s, t) <= field.radius
         )
         key = tuple((_sub(s, t), sp) for s, sp in near)
@@ -206,7 +216,9 @@ class OperatorContext:
         (offset from t, spin) pairs of its sites outside x's remainder: ()
         for the remainder itself, the y sites for rest + y, and those plus
         t's zero offset for rest + y + beta at t."""
-        t, x_t, rest = split_min(x)
+        if not x:
+            raise DomainError("cannot split the empty configuration")
+        (t, x_t), rest = x.items[0], x.items[1:]  # split_min without a Configuration
         denom, weights = self._gamma_weights(t, rest)
         star = self._star
         gamma_x = weights[star.index(x_t)] / denom
@@ -264,25 +276,23 @@ class OperatorContext:
         shape: the spin x_t at the minimal site t, the remainder's (offset,
         spin) pairs inside the ball around t, the window clip of that ball
         (with them, it fixes the candidate sites) and whether x has more
-        sites than t.  ``row`` builds each shape once; the other entries of
-        that shape are stamped from it by integer codes.  A configuration's
-        code sums (1 + star position of the spin) * base**rank(site) over
-        the sorted window, so a key's code is the remainder's code plus the
-        code of the key's (offset, spin) pairs placed at t.  Such a key is
-        in the domain exactly when those sites lie in the window and it has
-        at most k_max sites, so t and the entry's size fix which keys drop.
-        All rows are one ``map_blocks`` job."""
+        sites than t.  ``row`` builds each shape once, from its first
+        entry as a Configuration; the other entries of that shape are
+        stamped from it by their ``codes``.  A key's code is the
+        remainder's code plus the code of the key's (offset, spin) pairs
+        placed at t.  Such a key is in the domain exactly when those sites
+        lie in the window and it has at most k_max sites, so t and the
+        entry's size fix which keys drop.  All rows are one job."""
         if self.rows is not None:
             return
         import numpy
 
-        domain = self.domain
+        codes = self.codes
         k_max = self.k_max
         base = len(self._star) + 1
-        digit = {a: i + 1 for i, a in enumerate(self._star)}
+        digit = {a: i for i, a in enumerate(self._star, 1)}
         place = {s: base ** i for i, s in enumerate(sorted(self.window))}
-        codes = [sum(digit[sp] * place[s] for s, sp in x.items) for x in domain]
-        code_index = {code: i for i, code in enumerate(codes)}
+        code_index = dict(zip(codes, range(len(codes))))
         site_shapes: dict = {}  # t -> (window sites in its ball -> offset, clip)
         for t in self.window:
             near = {s: _sub(s, t) for s in ball(t, self.radius) & self.window}
@@ -308,20 +318,20 @@ class OperatorContext:
 
         def job(start: int, stop: int) -> list:
             out = []
-            for i in range(start, stop):
-                items = domain[i].items
-                t, x_t = items[0]
+            pairs = islice(self._pairs(), start, stop)
+            for i, (support, spins) in enumerate(pairs, start):
+                t, x_t, size = support[0], spins[0], len(support)
                 near, clip = site_shapes[t]
-                size = len(items)
                 shape = (
                     x_t,
-                    tuple([(near[s], sp) for s, sp in items[1:] if s in near]),
+                    tuple([(near[s], sp) for s, sp in zip(support, spins) if s in near]),
                     clip,
                     size > 1,
                 )
                 got = templates.get(shape)
                 if got is None:
-                    got = templates[shape] = (*self.row(domain[i]), {})
+                    x = Configuration._make(tuple(zip(support, spins)))
+                    got = templates[shape] = (*self.row(x), {})
                 free_term, keys, coeffs, stamps = got
                 placed = stamps.get((t, size))
                 if placed is None:
@@ -332,7 +342,7 @@ class OperatorContext:
                 out.append((free_term, idxs, kept, dropped))
             return out
 
-        (rows,) = map_blocks(job, [(0, len(domain))])
+        (rows,) = map_blocks(job, [(0, len(codes))])
         self.rows = rows
         self.free = numpy.array([row[0] for row in rows], float)
         lengths = [len(row[1]) for row in rows]
@@ -449,17 +459,17 @@ def _iterate(ctx: OperatorContext, tol: float, limit: int) -> tuple:
     for prev, cur in zip(updates, updates[1:]):
         if prev >= RATE_NOISE_FLOOR:
             rate = max(rate, cur / prev)
-    return phi.tolist(), iterations, updates[-1] if updates else 0.0, residual, rate
+    return phi, iterations, updates[-1] if updates else 0.0, residual, rate
 
 
-def _direct_solve(ctx: OperatorContext) -> list:
+def _direct_solve(ctx: OperatorContext) -> numpy.ndarray:
     """Solve (I - K) rho = free by sparse LU on the materialized arrays."""
     import numpy
     from scipy.sparse import csr_matrix, identity
     from scipy.sparse.linalg import splu
 
     assert ctx.rows is not None
-    n = len(ctx.domain)
+    n = len(ctx.codes)
     kernel = csr_matrix((ctx.data, (ctx.row_ids, ctx.indices)), shape=(n, n))
     system = (identity(n, format="csc") - kernel).tocsc()
     try:
@@ -474,7 +484,7 @@ def _direct_solve(ctx: OperatorContext) -> list:
             rate=math.inf,
             iterations=0,
         )
-    return solution.tolist()
+    return solution
 
 
 def _solve(
@@ -513,9 +523,7 @@ def _solve(
 
     direct_deviation = None
     if phi_vec is not None and direct_vec is not None:
-        direct_deviation = max(
-            (abs(a - b) for a, b in zip(phi_vec, direct_vec)), default=0.0
-        )
+        direct_deviation = float(abs(phi_vec - direct_vec).max())
     values = phi_vec if phi_vec is not None else direct_vec
 
     dropped = ctx.dropped_bstar()
@@ -526,12 +534,12 @@ def _solve(
     else:
         truncation_tail = dropped
 
-    table = {config: v for config, v in zip(ctx.domain, values)}
-    table[EMPTY_CONFIG] = 1.0
-    solution = CorrelationTable(window, table)
+    codes = dict(zip(ctx.codes, values.tolist()))
+    codes[0] = 1.0  # the empty configuration
+    solution = CorrelationTable.from_codes(window, ctx._star, codes, None, ctx.k_max)
     report = SolveReport(
         method=method,
-        unknowns=len(ctx.domain),
+        unknowns=len(ctx.codes),
         iterations=iterations,
         max_iters=limit,
         final_update_norm=update_norm,

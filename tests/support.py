@@ -104,6 +104,8 @@ MALFORMED_TABLES = {
     "unpaired-labels": (_TABLE + "0;1,1,0.5\n", 5),
     "non-finite-value": (_TABLE + "0,1,nan\n", 5),
     "window-header": (_TABLE.replace("0;1", "0;x"), 1),
+    "window-header-empty-site": (_TABLE.replace("0;1", "0;;1"), 1),
+    "window-header-huge-coordinate": (_TABLE.replace("0;1", "0;99999999999"), 1),
     "partition-header": (_TABLE.replace("3.5", "abc"), 2),
     "non-finite-header": (_TABLE.replace("3.5", "nan"), 2),
     "duplicate-row": (_TABLE + "0,1,0.4\n0,1,0.9\n", 6),

@@ -419,6 +419,43 @@ class TestSolveRoutes:
         with pytest.raises(SolverDivergenceError):
             _direct_solve(ctx)
 
+    def test_solve_and_write_build_a_configuration_per_template_only(
+        self, monkeypatch, tmp_path
+    ):
+        # the unknowns travel as integer codes from the domain build to the
+        # written table: a Configuration is made only for the row that a
+        # new row template is built from (the env gate's random plan aside)
+        from spincorr import checks, exact
+
+        field = load_model(str(ROOT / "models" / "chain_gated.model")).field
+        planning = []
+        calls = {"configs": 0, "rows": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += not planning
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def plan(*args, inner=checks.environment_plan_random):
+            planning.append(True)
+            try:
+                return inner(*args)
+            finally:
+                planning.pop()
+
+        make = classmethod(counted("configs", Configuration._make.__func__))
+        monkeypatch.setattr(Configuration, "_make", make)
+        init = counted("configs", Configuration.__init__)
+        monkeypatch.setattr(Configuration, "__init__", init)
+        monkeypatch.setattr(OperatorContext, "row", counted("rows", OperatorContext.row))
+        monkeypatch.setattr(checks, "environment_plan_random", plan)
+        solution, report = solve_finite_volume(field, chain_window(12))
+        exact.write_table(str(tmp_path / "t.csv"), solution, field.spins)
+        assert report.unknowns == 4095
+        assert 0 < calls["configs"] <= calls["rows"], calls
+
     def test_unknown_method_and_initial(self):
         field = chain_field(0.045)
         with pytest.raises(DomainError):
