@@ -262,8 +262,6 @@ def cmd_converge(args) -> int:
     if not args.window:
         raise DomainError("converge needs --window with at least two boxes")
     windows = _parse_windows(args.window, model.dimension)
-    if len(windows) < 2:
-        raise DomainError("converge needs at least two windows (last is reference)")
     tol = args.tol if args.tol is not None else 1e-12
     if args.probes:
         probes = read_probes(args.probes, model.spins)

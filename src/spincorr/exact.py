@@ -25,8 +25,8 @@ A `CorrelationTable` holds its values by integer code.  The
 correlation-equation checker re-implements the equation it tests from
 its own loops (no code shared with the solver module).  It reads the
 table by code through `_OracleReader`, built once per call: the table's
-code dict, and each (site, spin)'s kernel terms listed once, so that
-checking an entry builds no `Configuration`.
+code dict in the table's own coding, and each (site, spin)'s kernel
+terms listed once, so that checking an entry builds no `Configuration`.
 """
 
 from __future__ import annotations
@@ -476,9 +476,6 @@ class CorrelationTable:
         """Configuration -> value of every entry, in (size, items) order."""
         return {Configuration._make(items): self.codes[code] for code, items in self.entries}
 
-    def sorted_items(self) -> list:
-        return list(self.values.items())
-
 
 def _ordered_entries(sites: Sequence[tuple], star: Sequence[int], k_max: int) -> list:
     """(code, items) of each configuration of at most k_max of the sites,
@@ -637,15 +634,14 @@ class _OracleReader:
     """The table and the kernel terms of one oracle call, read by integer
     code, so that no per-entry step builds a `Configuration`.
 
-    Each site of the sorted union of the oracle's window and the table's
-    `sites` gets one base-q digit, place q**i and mask bit 1 << i.  A
-    digit is 0 for vacuum and 1 .. n_x for the non-vacuum spins in symbol
-    order, so a configuration's code is the sum of digit * place over its
-    items, as in the table; `item_code` maps each (site, spin) to that
-    term and the site's bit.  `values` holds the code of every entry
-    supported inside the table's window (the table's own `codes` when
-    both codings and the window agree): reading a code that is absent
-    gives 0, as `CorrelationTable.value` does."""
+    The reader codes a configuration as the table does: the table's
+    `sites`, then the window's sites the table lacks in sorted order; the
+    site of rank i has place q**i and mask bit 1 << i, and digits 1 .. n_x
+    for the field's non-vacuum spins.  `item_code` maps each (site, spin)
+    to its code term and bit.  `values` is the table's `codes`, less any
+    entry beyond the table's window (an absent code reads 0, as in
+    `CorrelationTable.value`); a table whose `star` is not the field's is
+    re-coded once."""
 
     def __init__(
         self, field: OnePointField, window: frozenset, table: CorrelationTable
@@ -654,25 +650,26 @@ class _OracleReader:
         self.field = field
         self.window = window
         self.star = field.spins.star_indices
-        sites = sorted(set(window).union(table.sites))
+        if table.star != self.star:
+            table = CorrelationTable(table.window, table.values, star=self.star)
+        sites = table.sites + tuple(sorted(window.difference(table.sites)))
         self.item_code: dict = {}
         self.at: dict = {}  # site -> the codes of its non-vacuum spins, star order
-        outside = 0
         for i, s in enumerate(sites):
-            place, bit = q**i, 1 << i
-            self.at[s] = tuple(d * place for d in range(1, q))
+            self.at[s] = tuple(d * q**i for d in range(1, q))
             for b, c in zip(self.star, self.at[s]):
-                self.item_code[s, b] = (c, bit)
-            if s not in table.window:
-                outside |= bit
-        if (sites, self.star, outside) == (list(table.sites), table.star, 0):
-            self.values = table.codes  # the same coding: read as it is
-        else:
-            coded = ((self.encode(items), table.codes[code]) for code, items in table.entries)
-            self.values = {c: v for (c, mask), v in coded if not mask & outside}
+                self.item_code[s, b] = (c, 1 << i)
+        self.values = table.codes
+        if len(table.sites) > len(table.window):
+            inside = table.window.issuperset
+            self.values = {
+                code: table.codes[code]
+                for code, items in table.entries
+                if inside(s for s, _ in items)
+            }
         self._terms: dict = {}
 
-    def encode(self, items: tuple) -> tuple[int, int]:
+    def encode(self, items: Iterable[tuple]) -> tuple[int, int]:
         """(code, site mask) of a configuration's items."""
         code = mask = 0
         for item in items:
@@ -719,35 +716,6 @@ class _OracleReader:
         return terms
 
 
-def theorem_g_value(
-    reader: _OracleReader, t: tuple, x_t: int, rest_code: int, rest_mask: int
-) -> float:
-    """The inner sum of the correlation equation for the configuration
-    (x_t at t) + rest, rest given by its code and site mask: over nonempty
-    J inside the window and disjoint from the support, and non-vacuum
-    spins y on J, the kernel times rho(rest + y) minus the sum over
-    non-vacuum beta of rho(rest + y + beta at t).
-
-    Kernel factors vanish beyond the field radius, so J ranges over the
-    interaction ball; that restriction is exact, not a truncation.  The
-    terms whose J meets rest are skipped from the reader's list for (t,
-    x_t); the others keep their order, so the fsum is that of the J-sum
-    listed over the ball sites outside rest.
-    """
-    get = reader.values.get
-    at_t = reader.at[t]
-    terms = []
-    for mask, offset, kernel in reader.kernel_terms(t, x_t):
-        if mask & rest_mask:
-            continue
-        base = rest_code + offset
-        inner = get(base, 0.0)
-        for beta in at_t:
-            inner -= get(base + beta, 0.0)
-        terms.append(kernel * inner)
-    return math.fsum(terms)
-
-
 def correlation_rhs(
     field: OnePointField,
     window: frozenset,
@@ -775,16 +743,32 @@ def correlation_rhs(
     denom = 1.0 + math.fsum(weights[alpha] for alpha in star)
     gamma = weights[x_t] / denom
 
-    g_x = theorem_g_value(reader, t, x_t, rest_code, rest_mask)
+    # g(alpha), over nonempty J inside the window and disjoint from rest and
+    # non-vacuum spins y on J: the kernel times rho(rest + y) minus the sum
+    # over non-vacuum beta of rho(rest + y + beta at t).  Kernel factors
+    # vanish beyond the field radius, so J ranges over the ball exactly.
+    # The terms whose J meets rest are skipped and the others keep their
+    # order, so each fsum is that of the J-sum over the ball outside rest.
+    get = reader.values.get
+    at_t = reader.at[t]
+    g = {}
+    for alpha in star:
+        terms = []
+        for mask, offset, kernel in reader.kernel_terms(t, alpha):
+            if mask & rest_mask:
+                continue
+            base = rest_code + offset
+            inner = get(base, 0.0)
+            for beta in at_t:
+                inner -= get(base + beta, 0.0)
+            terms.append(kernel * inner)
+        g[alpha] = math.fsum(terms)
     # alpha = vacuum contributes weight 1 and a vanishing kernel sum.
+    g_x = g[x_t]
     correction = [g_x]
     for alpha in star:
-        if alpha == x_t:  # the same deterministic call as g_x
-            g_alpha = g_x
-        else:
-            g_alpha = theorem_g_value(reader, t, alpha, rest_code, rest_mask)
-        correction.append(weights[alpha] * (g_x - g_alpha))
-    return gamma * (reader.values.get(rest_code, 0.0) + math.fsum(correction))
+        correction.append(weights[alpha] * (g_x - g[alpha]))
+    return gamma * (get(rest_code, 0.0) + math.fsum(correction))
 
 
 def verify_correlation_equation(
@@ -808,7 +792,7 @@ def verify_correlation_equation(
     witness = ""
     count = 0
 
-    for code, items in table.entries:  # sorted_items() order, undecoded
+    for code, items in table.entries:  # (size, items) order, undecoded
         if not items:
             continue
         x, lhs = Configuration._make(items), table.codes[code]

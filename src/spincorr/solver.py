@@ -39,7 +39,7 @@ from .errors import (
     GateNotCertifiedError,
     SolverDivergenceError,
 )
-from .exact import CorrelationTable, map_blocks, rho_probe
+from .exact import CorrelationTable, _check_budget, map_blocks, rho_probe
 from .fields import (
     FieldBounds,
     OnePointField,
@@ -496,6 +496,8 @@ def _solve(
     method: str,
     override_gate: bool,
 ) -> tuple:
+    if not window:
+        raise DomainError("window must be nonempty")
     if method not in ("iterative", "direct", "both"):
         raise DomainError(f"unknown solve method {method!r}")
     # the gate runs first: with a huge coupling, rounding in the field makes
@@ -569,8 +571,6 @@ def solve_finite_volume(
     materialized rows reproduce the finite-volume equation exactly, so the
     fixed point is the exact finite-volume correlation function."""
     window = frozenset(window)
-    if not window:
-        raise DomainError("window must be nonempty")
     solution, report, _ = _solve(
         field,
         window,
@@ -599,8 +599,6 @@ def solve_infinite_volume(
     certified the report carries (depth, bound) pairs quantifying the
     finite-window error at each interior depth."""
     window = frozenset(window)
-    if not window:
-        raise DomainError("window must be nonempty")
     solution, report, bounds = _solve(
         field,
         window,
@@ -682,8 +680,6 @@ def epsilon_bound(
     best = 2.0 / (1.0 - k)
     for n in range(1, d):
         r = (d - 1) // n
-        if r < 1:
-            break
         f_r = tail_f_bound(field, r, bounds, decay)
         candidate = (
             2.0 * k ** (n + 1) / (1.0 - k) + 2.0 * f_r / (1.0 - k) ** 2
@@ -745,6 +741,11 @@ def convergence_profile(
     bounds = field_bounds(field)
     certified, _ = _contraction_gate(bounds, override_gate)
 
+    # the windows past the solver's limit are enumerated: refuse any over
+    # the budget before the reference is computed
+    for window in vols[:-1]:
+        if spins.size ** len(window) - 1 > PROFILE_SOLVER_LIMIT:
+            _check_budget(spins.size ** len(window), "correlation probe")
     reference = vols[-1]
     if spins.size ** len(reference) <= DEFAULT_ENUM_BUDGET:
         ref_values = rho_probe(field, reference, probes)
@@ -801,7 +802,7 @@ def convergence_profile(
 
     points = []
     for size, depth, deviation, iterations, residual in raw_points:
-        if contraction is not None and depth >= 1:
+        if contraction is not None:
             eps = epsilon_bound(field, depth, bounds, contraction=(
                 None if certified else contraction
             ))

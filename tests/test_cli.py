@@ -435,6 +435,37 @@ class TestConvergeCommand:
             "converge", "--model", model("chain_gated"), "--window=-1:1"
         )
         assert proc.returncode == 2
+        assert proc.stderr == "error: need at least two windows (the last is the reference)\n"
+
+    def test_over_budget_window_is_refused_before_the_reference(self, monkeypatch, capsys):
+        # the 7x7 reference goes to the window iteration; the 5x5 window's
+        # probes are over the enumeration budget, and that is found first
+        def reference(*args, **kwargs):
+            raise AssertionError("the reference was computed")
+
+        monkeypatch.setattr("spincorr.solver.solve_infinite_volume", reference)
+        argv = ["converge", "--model", model("grid_gated"), "--window=-2,-2:2,2;-3,-3:3,3"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "budget exceeded: correlation probe needs 33554432 configurations, "
+            "budget is 16777216\n"
+        )
+
+    def test_epsilon_unavailable_without_a_contraction_rate(self, capsys):
+        # the gate fails and the 11-site window is enumerated, so no rate
+        # below 1 is measured and no epsilon is printed
+        argv = ["converge", "--model", model("strong"), "--window=0:10;0:12"]
+        assert cli.main([*argv, "--override-gate"]) == 0
+        out, _ = capsys.readouterr()
+        assert out.splitlines() == [
+            "reference_size = 13",
+            "reference_method = enumeration",
+            "epsilon_source = unavailable",
+            "window_size,d,max_abs_deviation,epsilon_bound,iterations,residual",
+            "11,6,0.0005129384808065796,,0,0.0",
+        ]
 
 
 class TestBoundsCommand:

@@ -1060,6 +1060,70 @@ class TestOracleGolden:
         assert sum(calls.values()) == 0, calls
 
 
+def narrow_star_table():
+    """`chain_q3_mid` over 0:3, only the entries whose spins are all `a`:
+    the table's star is (0,), the field's is (0, 2)."""
+    field, window, full = model_table("chain_q3_mid", chain_window(4))
+    a = field.spins.index_of("a")
+    values = {x: v for x, v in full.values.items() if all(b == a for _, b in x.items)}
+    return field, window, CorrelationTable(full.window, values, full.partition_value)
+
+
+def wide_window_table():
+    """`chain_q3_mid` over 0:3, checked over the wider window -1:5."""
+    field, _, table = model_table("chain_q3_mid", chain_window(4))
+    return field, tuple((i,) for i in range(-1, 6)), table
+
+
+# recorded before the reader coded tables the way the table does, as in
+# ORACLE_GOLDEN
+READER_GOLDEN = {
+    "narrow-star": (
+        narrow_star_table,
+        15,
+        "0.0029679170331795013",
+        "x={(1,):0} lhs=0.3325979140973479 rhs=0.3296299970641684",
+        "9a31e7fec484b656",
+    ),
+    "wide-window": (
+        wide_window_table,
+        80,
+        "1.1102230246251565e-16",
+        "x={(1,):2} lhs=0.33370351136594656 rhs=0.33370351136594645",
+        "8fccbc75fd0eed2e",
+    ),
+}
+
+
+class TestOracleReaderPaths:
+    @pytest.mark.parametrize("name", READER_GOLDEN)
+    def test_report_and_every_rhs(self, monkeypatch, name):
+        make, *golden = READER_GOLDEN[name]
+        field, window, table = make()
+        seen = []
+        rhs = exact.correlation_rhs
+
+        def record(*args):
+            seen.append(rhs(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(exact, "correlation_rhs", record)
+        report = verify_correlation_equation(field, window, table)
+        digest = hashlib.sha256(" ".join(map(repr, seen)).encode()).hexdigest()
+        got = (report.instances, repr(report.max_residual), report.witness)
+        assert [*got, digest[:16]] == golden
+
+    def test_value_outside_the_window_or_star_is_zero(self):
+        _, _, table = narrow_star_table()
+        assert table.value(config(((1,), 0))) == 0.3325979140973479
+        assert table.value(config(((1,), 2))) == 0.0  # spin b is not in star
+        assert table.value(config(((4,), 0))) == 0.0  # site 4 is not a table site
+        _, _, sparse = sparse_table()
+        beyond = config(((3,), 0))  # an entry, but outside the table's window
+        assert sparse.values[beyond] != 0.0
+        assert sparse.value(beyond) == 0.0
+
+
 class TestTableIO:
     def test_round_trip_exact(self, tmp_path):
         field = chain_field(0.2)
