@@ -12,6 +12,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import EnvironmentConditionError
@@ -108,22 +109,21 @@ def _random_site(rng: random.Random, dimension: int) -> Site:
 
 def _random_boundary(
     rng: random.Random,
-    field: OnePointField,
+    reach: Sequence[Site],
+    star: Sequence[int],
     near: Sequence[Site],
     exclude: set,
 ) -> Configuration:
-    """Random boundary of at most 4 sites scattered around the given sites."""
+    """Random boundary of at most 4 sites at the `reach` offsets of the
+    given sites, outside `exclude`.  The largest near site's last offset
+    is never excluded, so a candidate always remains."""
     candidates = set()
     for t in near:
-        candidates.update(ball(t, field.radius + 1))
-    candidates -= exclude
-    candidates = sorted(candidates)
-    if not candidates:
-        return EMPTY_CONFIG
+        candidates.update(tuple(map(add, t, off)) for off in reach)
+    candidates = sorted(candidates.difference(exclude))
     count = rng.randint(0, min(4, len(candidates)))
     sites = rng.sample(candidates, count)
-    star = field.spins.star_indices
-    return Configuration((s, rng.choice(star)) for s in sites)
+    return Configuration._make(tuple(sorted([(s, rng.choice(star)) for s in sites])))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,8 @@ def one_point_plan_random(
 ) -> list[tuple]:
     """Scenarios (t, s, boundary, x, u, y_mid, ys, vs) for the one-point checks."""
     plan = []
-    spins = field.spins
+    indices, star = field.spins.indices, field.spins.star_indices
+    reach = sorted(ball(field.origin(), field.radius + 1))
     d = field.dimension
     for _ in range(instances):
         t = _random_site(rng, d)
@@ -148,9 +149,9 @@ def one_point_plan_random(
                 s = _random_site(rng, d)
             if s != t:
                 break
-        boundary = _random_boundary(rng, field, [t, s], {t, s})
-        x, u, y_mid = (rng.choice(spins.indices) for _ in range(3))
-        ys, vs = (rng.choice(spins.indices) for _ in range(2))
+        boundary = _random_boundary(rng, reach, star, [t, s], {t, s})
+        x, u, y_mid = (rng.choice(indices) for _ in range(3))
+        ys, vs = (rng.choice(indices) for _ in range(2))
         plan.append((t, s, boundary, x, u, y_mid, ys, vs))
     return plan
 
@@ -230,11 +231,12 @@ def field_plan_random(
 ) -> list[tuple]:
     """Scenarios (lam, vol, boundary, x, u, mid, y, v) for the volume checks."""
     spins = field.spins
+    reach = sorted(ball(field.origin(), field.radius + 1))
     d = field.dimension
     plan = []
     for _ in range(instances):
         anchor = _random_site(rng, d)
-        cloud = sorted(ball(anchor, field.radius + 1))
+        cloud = [tuple(map(add, anchor, off)) for off in reach]
         size_a = rng.randint(1, 2)
         size_b = rng.randint(1, 2)
         picked = rng.sample(cloud, min(size_a + size_b, len(cloud)))
@@ -243,7 +245,7 @@ def field_plan_random(
         if not vol:
             vol = [tuple(c + 2 * (field.radius + 1) for c in anchor)]
         exclude = set(lam) | set(vol)
-        boundary = _random_boundary(rng, field, lam + vol, exclude)
+        boundary = _random_boundary(rng, reach, spins.star_indices, lam + vol, exclude)
 
         def rand_full(sites):
             vac = spins.vacuum_index
@@ -308,7 +310,8 @@ def environment_plan_random(
     field: OnePointField, rng: random.Random, instances: int
 ) -> list[tuple]:
     """Scenarios (t, s, z, x, ys, vs) for the boundary-replacement check."""
-    spins = field.spins
+    indices, star = field.spins.indices, field.spins.star_indices
+    reach = sorted(ball(field.origin(), field.radius + 1))
     d = field.dimension
     plan = []
     for _ in range(instances):
@@ -317,10 +320,10 @@ def environment_plan_random(
             s = tuple(c + rng.randint(-field.radius - 1, field.radius + 1) for c in t)
             if s != t:
                 break
-        z = _random_boundary(rng, field, [t, s], {t, s})
-        x = rng.choice(spins.indices)
-        ys = rng.choice(spins.indices)
-        vs = rng.choice(spins.indices)
+        z = _random_boundary(rng, reach, star, [t, s], {t, s})
+        x = rng.choice(indices)
+        ys = rng.choice(indices)
+        vs = rng.choice(indices)
         plan.append((t, s, z, x, ys, vs))
     return plan
 

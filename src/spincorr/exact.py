@@ -16,7 +16,8 @@ partition function with the probe moved into the boundary.  The
 exception is `rho_exact`'s extension route, whose weights share only the
 table: `_telescoped_weights` sums every configuration's energy in
 telescoping order, without a walk.  Both routes fold their weights into
-numerators with `_fold_numerators`.
+numerators with `_fold_numerators`, site by site in slices per block of
+the site's axis or strided slices per offset, whichever are fewer.
 The walks assume a volume-consistent field, whose walked energy does not
 depend on the path; only `rho_exact`'s default two-route check refuses
 one that is not, because its routes then part.
@@ -463,8 +464,13 @@ class CorrelationTable:
         return table
 
     def _encode(self, items: tuple) -> int:
-        """The code of a configuration's items (KeyError outside the coding)."""
-        return sum([self._digit[b] * self._place[s] for s, b in items])
+        """The code of a configuration's items (DomainError outside `star`)."""
+        try:
+            return sum([self._digit[b] * self._place[s] for s, b in items])
+        except KeyError:
+            s, b = next((s, b) for s, b in items if b not in self._digit)
+            msg = f"spin index {b!r} at site {s!r} is not one of the coded spins {self.star!r}"
+            raise DomainError(msg) from None
 
     def value(self, config: Configuration) -> float:
         if config.support <= self.window and all(b in self._digit for _, b in config.items):
@@ -496,14 +502,24 @@ def _fold_numerators(transitions: _TransitionTable, weights: list) -> list:
     becomes the sum over that site's axis (site left free), and the slices
     at the non-vacuum spins stay (site pinned).  So entry c is the sum of
     the weights of the configurations that extend the non-vacuum digits
-    of c, and the all-vacuum entry is the sum of every weight."""
+    of c, and the all-vacuum entry is the sum of every weight.  Sites fold
+    in window order, each in one slice per spin for each block of its axis
+    or, when fewer, for each offset o < stride (the o-th entry of every
+    block, one strided slice): the same fsum operands either way."""
     n = len(transitions.order)
     q, vac = transitions.base, transitions.vacuum
+    size = len(weights)
     for pos in range(n):
         stride = q ** (n - 1 - pos)
-        for lo in range(0, len(weights), q * stride):
-            axis = [weights[lo + b * stride : lo + (b + 1) * stride] for b in range(q)]
-            weights[lo + vac * stride : lo + (vac + 1) * stride] = map(math.fsum, zip(*axis))
+        blocks = size // (q * stride)
+        if blocks <= stride:
+            starts, step, extent = range(0, size, q * stride), 1, stride
+        else:
+            starts, step, extent = range(stride), q * stride, size
+        for lo in starts:
+            axis = [weights[a : a + extent : step] for a in range(lo, lo + q * stride, stride)]
+            at = lo + vac * stride
+            weights[at : at + extent : step] = map(math.fsum, zip(*axis))
     return weights
 
 
@@ -578,8 +594,9 @@ def rho_exact(
     # window site k, first site most significant
     digit = {b: d for d, b in enumerate(spins.star_indices, 1)}
     codes = [0]
-    for place in [spins.size**k for k in range(len(window))]:
-        codes = [c + digit.get(b, 0) * place for c in codes for b in spins.indices]
+    for k in range(len(window)):
+        pins = [digit.get(b, 0) * spins.size**k for b in spins.indices]
+        codes = [c + pin for c in codes for pin in pins]
     z, numerators = tables[0]
     if method == "both":
         z2, numerators2 = tables[1]

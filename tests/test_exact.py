@@ -503,6 +503,36 @@ def test_extension_route_walks_nothing(monkeypatch):
     assert built  # the counter sees the walks that do run
 
 
+def block_fold(transitions, weights: list) -> list:
+    """The fold as one pass per block of every site's axis: the order
+    `_fold_numerators` must reproduce bit for bit."""
+    n = len(transitions.order)
+    q, vac = transitions.base, transitions.vacuum
+    for pos in range(n):
+        stride = q ** (n - 1 - pos)
+        for lo in range(0, len(weights), q * stride):
+            axis = [weights[lo + b * stride : lo + (b + 1) * stride] for b in range(q)]
+            weights[lo + vac * stride : lo + (vac + 1) * stride] = map(math.fsum, zip(*axis))
+    return weights
+
+
+@pytest.mark.parametrize(
+    "model, sites", [("chain_gated", n) for n in (1, 2, 5, 12)]
+    + [("chain_q3_mid", n) for n in (1, 2, 5, 7)],
+)
+@pytest.mark.parametrize("route", ["walked", "telescoped"])
+def test_fold_matches_the_block_order_bit_for_bit(model, sites, route):
+    field = load_model(str(MODELS / f"{model}.model")).field
+    table = _TransitionTable(field, frozenset(chain_window(sites)), EMPTY_CONFIG)
+    if route == "walked":
+        weights = [0.0] * field.spins.size**sites
+        exact._block_weights(table, weights)
+    else:
+        weights = exact._telescoped_weights(table)
+    expected = block_fold(table, list(weights))
+    assert exact._fold_numerators(table, weights) == expected
+
+
 class TestPartitionFunction:
     def test_two_site_hand_value(self):
         # Weights 1, 1, 1, 1/2 for {}, {0}, {1}, {0,1}: the coupled pair
@@ -894,6 +924,18 @@ class TestCorrelationEquation:
             rho_exact(field, window, method="both")
         table = rho_exact(field, window, method="marginal")
         with pytest.raises(EnvironmentConditionError):
+            verify_correlation_equation(field, window, table)
+
+    @pytest.mark.parametrize("star", [None, (1,)])
+    def test_spin_outside_the_coding_is_a_domain_error(self, star):
+        # spin index 5 is neither in the table's given star nor a spin of
+        # the field: the constructor, or the oracle's re-coding, names it
+        field = load_model(str(MODELS / "chain_gated.model")).field
+        window = chain_window(2)
+        values = {EMPTY_CONFIG: 1.0, singleton((0,), 5): 0.1}
+        match = r"spin index 5 at site \(0,\)"
+        with pytest.raises(DomainError, match=match):
+            table = CorrelationTable(window, values, star=star)
             verify_correlation_equation(field, window, table)
 
     def test_nan_residual_fails(self, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import random
 
 import pytest
@@ -25,12 +26,15 @@ from spincorr import (
     remark1_sufficiency,
 )
 from spincorr.checks import (
+    ENV_GATE_SEED,
     environment_plan_random,
     field_plan_random,
     one_point_plan_exhaustive,
     one_point_plan_random,
 )
 from spincorr.fields import OnePointField, bounds_from_norms
+from spincorr.lattice import ball
+from spincorr.modelfile import load_model
 
 from support import SPINS2, SPINS3, chain_field, config, random_pair_field
 
@@ -102,6 +106,71 @@ class TestPairFieldEval:
         down = f.eval((0,), {}, 0, 1)
         assert up == pytest.approx(-down, abs=1e-15)
         assert up != 0.0
+
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+
+
+def ball_boundary(rng, field, near, exclude):
+    """A random boundary drawn from freshly built balls, with a validated
+    Configuration: the draws each plan must reproduce."""
+    candidates = set()
+    for t in near:
+        candidates.update(ball(t, field.radius + 1))
+    candidates = sorted(candidates - exclude)
+    sites = rng.sample(candidates, rng.randint(0, min(4, len(candidates))))
+    return Configuration((s, rng.choice(field.spins.star_indices)) for s in sites)
+
+
+def ball_environment_plan(field, rng, instances):
+    plan = []
+    for _ in range(instances):
+        t = tuple(rng.randint(-4, 4) for _ in range(field.dimension))
+        s = t
+        while s == t:
+            s = tuple(c + rng.randint(-field.radius - 1, field.radius + 1) for c in t)
+        z = ball_boundary(rng, field, [t, s], {t, s})
+        plan.append((t, s, z, *(rng.choice(field.spins.indices) for _ in range(3))))
+    return plan
+
+
+def ball_one_point_plan(field, rng, instances):
+    plan = []
+    for _ in range(instances):
+        t = tuple(rng.randint(-4, 4) for _ in range(field.dimension))
+        s = t
+        while s == t:
+            if rng.random() < 0.85:
+                s = tuple(c + rng.randint(-field.radius - 1, field.radius + 1) for c in t)
+            else:
+                s = tuple(rng.randint(-4, 4) for _ in range(field.dimension))
+        boundary = ball_boundary(rng, field, [t, s], {t, s})
+        plan.append((t, s, boundary, *(rng.choice(field.spins.indices) for _ in range(5))))
+    return plan
+
+
+PLAN_FIELDS = {
+    "chain": lambda: chain_field(0.045),
+    "grid_gated": lambda: load_model(str(MODELS / "grid_gated.model")).field,
+    "range-2 chain": lambda: chain_field(0.1, radius=2),
+    "q3": lambda: random_pair_field(random.Random(4), 1, SPINS3, 1),
+    "q3 mid-vacuum range-2": lambda: load_model(str(MODELS / "chain_q3_mid.model")).field,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_FIELDS))
+@pytest.mark.parametrize(
+    "plan, reference",
+    [
+        (environment_plan_random, ball_environment_plan),
+        (one_point_plan_random, ball_one_point_plan),
+    ],
+)
+def test_random_plans_match_the_ball_reference(name, plan, reference):
+    field = PLAN_FIELDS[name]()
+    rng, ref_rng = random.Random(ENV_GATE_SEED), random.Random(ENV_GATE_SEED)
+    assert plan(field, rng, 300) == reference(field, ref_rng, 300)
+    assert rng.random() == ref_rng.random()  # the same number of draws
 
 
 class TestIdentities:
