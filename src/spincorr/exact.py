@@ -15,7 +15,8 @@ a local loop.  `rho_probe` pins no walk: a probe's numerator is a
 partition function with the probe moved into the boundary.  The
 exception is `rho_exact`'s extension route, whose weights share only the
 table: `_telescoped_weights` sums every configuration's energy in
-telescoping order, without a walk.  Both routes fold their weights into
+telescoping order, without a walk, in one pass per site that extends
+every partial sum of the later sites.  Both routes fold their weights into
 numerators with `_fold_numerators`, site by site in slices per block of
 the site's axis or strided slices per offset, whichever are fewer.
 The walks assume a volume-consistent field, whose walked energy does not
@@ -55,15 +56,6 @@ MAX_SAFE_ENERGY = 700.0
 TRANSITION_TABLE_CAP = 1 << 16
 DEFAULT_BLOCK = 2048
 SELF_CHECK_TOL = 1e-12
-
-
-def block_ranges(n: int, block: int = DEFAULT_BLOCK) -> list[tuple[int, int]]:
-    """Fixed [start, stop) partition of range(n).  Block boundaries depend
-    only on n, so per-block sums combined in block order see the same
-    operand order every run."""
-    if n <= 0:
-        return []
-    return [(i, min(i + block, n)) for i in range(0, n, block)]
 
 
 def map_blocks(fn: Callable, ranges: Sequence[tuple], threads: int = 1) -> list:
@@ -222,9 +214,12 @@ class _TransitionTable:
         return moves
 
     def blocks(self) -> list:
-        """The aligned walk blocks over the q**n positions of the window."""
+        """The aligned walk blocks over the q**n positions of the window, in
+        order: their boundaries depend only on the window, so per-block sums
+        combined in block order see the same operands every run."""
         n = len(self.order)
-        return block_ranges(self.base**n, self.base ** min(n, self.block_digits))
+        block = self.base ** min(n, self.block_digits)
+        return [(i, i + block) for i in range(0, self.base**n, block)]
 
 
 def _gray_step(digits: list, steps: list, q: int) -> int:
@@ -525,37 +520,30 @@ def _fold_numerators(transitions: _TransitionTable, weights: list) -> list:
 
 def _telescoped_weights(transitions: _TransitionTable) -> list:
     """exp{Delta_window(x, vacuum)} of every window configuration x, by
-    `code` (first window site most significant), from one depth-first pass
-    that places the spins in reverse window order: each term is the
-    table's energy of one site leaving the vacuum with the later sites
-    placed and the earlier ones vacuum, as `seek` telescopes, and each
-    partial sum is shared by every configuration that extends it.  No
-    walker runs, so no weight depends on a walk's path."""
+    `code` (first window site most significant), from one pass per site
+    in reverse window order: each term is the table's energy of one site
+    leaving the vacuum with the later sites placed and the earlier ones
+    vacuum, as `seek` telescopes.  Site k's pass lists its ball code under
+    every placement of the later sites, takes each distinct code's energy
+    once per spin, and lays the q extended partial-sum lists end to end
+    (the vacuum's is the previous list).  No walker runs, so no weight
+    depends on a walk's path."""
     n = len(transitions.order)
     q, vac = transitions.base, transitions.vacuum
-    energy = transitions.energy
-    neighbours = transitions.neighbours
-    codes = list(transitions.boundary_codes)
-    places = [q ** (n - 1 - k) for k in range(n)]
-    deltas = [0.0] * q**n
-
-    def place(k: int, code: int, delta: float) -> None:
-        ball = codes[k]
+    deltas = [0.0]
+    for k in range(n - 1, -1, -1):
+        balls = [transitions.boundary_codes[k]]
+        for j in range(k + 1, n):
+            place = dict(transitions.neighbours[j]).get(k, 0)
+            balls = [c + (b - vac) * place for c in balls for b in range(q)]
+        extended = []
         for b in range(q):
-            c = code + b * places[k]
-            d = delta if b == vac else delta + energy(k, ball, vac, b)
-            if not k:
-                deltas[c] = d
+            if b == vac:
+                extended += deltas
                 continue
-            shift = b - vac
-            for j, p in neighbours[k]:
-                codes[j] += shift * p
-            place(k - 1, c, d)
-            for j, p in neighbours[k]:
-                codes[j] -= shift * p
-
-    if n:
-        place(n - 1, 0, 0.0)
+            energy = {c: transitions.energy(k, c, vac, b) for c in set(balls)}
+            extended += [d + energy[c] for d, c in zip(deltas, balls)]
+        deltas = extended
     return _exp_all(deltas)
 
 
@@ -893,10 +881,12 @@ def _unreadable(path: str, number: int, line: str, exc: Exception) -> DomainErro
 def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
     """Read a table in the `write_table` format.  A row (`_parse_row`) or a
     `window` or `partition_value` header that does not parse, a non-finite
-    value, an empty configuration not valued 1, or a repeated configuration
-    or header key is a DomainError naming its line."""
+    value, an empty configuration not valued 1, a repeated configuration
+    or header key, or a row with a site outside a `window` header is a
+    DomainError naming its line."""
     headers: dict = {}
     values: dict = {}
+    lines: dict = {}  # configuration -> (line number, line)
     window = partition_value = None
     body_seen = False
     with open(path, "r", encoding="utf-8") as fh:
@@ -922,6 +912,7 @@ def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
                     if config in values:
                         raise ValueError("an earlier row has the same configuration")
                     values[config] = _finite(value_text)
+                    lines[config] = number, line
                     if not config and values[config] != 1.0:
                         raise ValueError("the empty configuration's value must be 1")
                 elif line:
@@ -930,6 +921,10 @@ def read_table(path: str, spins: SpinSpace) -> CorrelationTable:
                     body_seen = True
             except (ValueError, SpincorrError) as exc:
                 raise _unreadable(path, number, line, exc) from None
+    for config, (number, line) in lines.items():
+        if window and not config.support <= window:
+            exc = ValueError("a site lies outside the window header")
+            raise _unreadable(path, number, line, exc)
     if not window:
         window = frozenset().union(*(c.support for c in values))
     return CorrelationTable(window, values, partition_value, headers, spins.star_indices)

@@ -120,6 +120,11 @@ MALFORMED_TABLES = {
     "empty-site": (_TABLE + ";1,1;1,0.5\n", 5),
     "labels-without-sites": (_TABLE.replace(",,1.0", ",1,0.5"), 4),
     "empty-value-not-one": (_TABLE.replace(",,1.0", ",,0.7"), 4),
+    "row-outside-window": (_TABLE + "0,1,0.4\n3,1,0.5\n", 6),
+    "row-before-window-header": (
+        _TABLE.replace("# window = 0;1\n", "") + "0;2,1;1,0.5\n# window = 0;1\n",
+        4,
+    ),
 }
 # probe lines (spins 0 1, vacuum 0) that must be refused; each file puts
 # the line at line 3, after a comment and a valid probe

@@ -483,6 +483,59 @@ def test_telescoped_weights_match_delta_volume(name):
         assert weight == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def recursive_weights(transitions) -> list:
+    """The telescoped weights from a depth-first pass that places the spins
+    in reverse window order, shifting shared ball codes before each call
+    and back after it: the sums `_telescoped_weights` must reproduce bit
+    for bit."""
+    n = len(transitions.order)
+    q, vac = transitions.base, transitions.vacuum
+    energy = transitions.energy
+    neighbours = transitions.neighbours
+    codes = list(transitions.boundary_codes)
+    places = [q ** (n - 1 - k) for k in range(n)]
+    deltas = [0.0] * q**n
+
+    def place(k: int, code: int, delta: float) -> None:
+        ball = codes[k]
+        for b in range(q):
+            c = code + b * places[k]
+            d = delta if b == vac else delta + energy(k, ball, vac, b)
+            if not k:
+                deltas[c] = d
+                continue
+            shift = b - vac
+            for j, p in neighbours[k]:
+                codes[j] += shift * p
+            place(k - 1, c, d)
+            for j, p in neighbours[k]:
+                codes[j] -= shift * p
+
+    if n:
+        place(n - 1, 0, 0.0)
+    return exact._exp_all(deltas)
+
+
+RECURSIVE_PASSES = {
+    **WEIGHT_PASSES,
+    "empty-window": (SPINS3_MID, (), config(((1,), 2)), "pair"),
+    "one-site-window": (SPINS3_MID, chain_window(1), config(((1,), 2)), "pair"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECURSIVE_PASSES))
+@pytest.mark.parametrize("cap", [None, 4], ids=["default-cap", "cap-4"])
+def test_telescoped_weights_match_the_recursive_pass_bit_for_bit(monkeypatch, name, cap):
+    if cap is not None:
+        monkeypatch.setattr(exact, "TRANSITION_TABLE_CAP", cap)
+    spins, window, boundary, kind = RECURSIVE_PASSES[name]
+    field = walk_field(kind, random.Random(name), len(window[0]) if window else 1, spins)
+    expected = recursive_weights(_TransitionTable(field, frozenset(window), boundary))
+    got = exact._telescoped_weights(_TransitionTable(field, frozenset(window), boundary))
+    assert len(got) == spins.size ** len(window)
+    assert got == expected
+
+
 def test_extension_route_walks_nothing(monkeypatch):
     # the extension route's weights share only the transition table with
     # the marginal route: no walker, so a path-dependent walk cannot agree
