@@ -27,12 +27,10 @@ from .lattice import (
     SpinSpace,
     ball,
     box,
-    chebyshev_distance,
     concat,
     distance_to_complement,
     enumerate_configs,
     interior,
-    split_min,
 )
 from .fields import (
     PairField,
@@ -85,7 +83,6 @@ __all__ = [
     "ZeroField",
     "ball",
     "box",
-    "chebyshev_distance",
     "check_environment_condition",
     "check_field_consistency",
     "check_one_point_consistency",
@@ -107,7 +104,6 @@ __all__ = [
     "remark1_sufficiency",
     "rho_exact",
     "rho_probe",
-    "split_min",
     "verify_correlation_equation",
     "write_table",
 ]

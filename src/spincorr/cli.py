@@ -74,8 +74,7 @@ def _parse_window(spec: str, dimension: int) -> frozenset:
         raise DomainError(f"window spec {spec!r} has lo > hi")
     # counted before the box is built: no job solves or enumerates more sites
     if (sites := math.prod(b - a + 1 for a, b in zip(lo, hi))) > MAX_UNKNOWNS:
-        message = f"window {spec!r} has {sites} sites, limit is {MAX_UNKNOWNS}"
-        raise BudgetExceededError(message, sites, MAX_UNKNOWNS)
+        raise BudgetExceededError(f"window {spec!r} has {sites} sites, limit is {MAX_UNKNOWNS}")
     validate_site(lo)
     validate_site(hi)
     return box(lo, hi)

@@ -16,11 +16,6 @@ class DomainError(SpincorrError):
 class BudgetExceededError(SpincorrError):
     """An enumeration would exceed the configured state budget."""
 
-    def __init__(self, message: str, required: int, budget: int):
-        super().__init__(message)
-        self.required = required
-        self.budget = budget
-
 
 class EnvironmentConditionError(SpincorrError):
     """The boundary-replacement identity failed; carries the witness."""
@@ -45,9 +40,8 @@ class SolverDivergenceError(SpincorrError):
 
 
 class ModelFileError(SpincorrError):
-    """A model definition file failed to parse; carries line/column."""
+    """A model definition file failed to parse; carries the line."""
 
     def __init__(self, message: str, line: int, column: int = 1):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
-        self.column = column

@@ -66,11 +66,8 @@ def map_blocks(fn: Callable, ranges: Sequence[tuple], threads: int = 1) -> list:
 
 def _check_budget(required: int, what: str, unit: str = "configurations") -> None:
     if required > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"{what} needs {required} {unit}, budget is {DEFAULT_ENUM_BUDGET}",
-            required=required,
-            budget=DEFAULT_ENUM_BUDGET,
-        )
+        message = f"{what} needs {required} {unit}, budget is {DEFAULT_ENUM_BUDGET}"
+        raise BudgetExceededError(message)
 
 
 def _oracle_exp(exponent: float, what: str) -> float:
@@ -472,6 +469,14 @@ class CorrelationTable:
             return self.codes.get(self._encode(config.items), 0.0)
         return 0.0
 
+    def readable_entries(self) -> list:
+        """The `entries` that `value` reads: those inside the window (the
+        list itself when no entry has a site beyond it)."""
+        if len(self.sites) == len(self.window):
+            return self.entries
+        inside = self.window.issuperset
+        return [(code, items) for code, items in self.entries if inside(s for s, _ in items)]
+
     @cached_property
     def values(self) -> dict:
         """Configuration -> value of every entry, in (size, items) order."""
@@ -643,8 +648,8 @@ class _OracleReader:
     `sites`, then the window's sites the table lacks in sorted order; the
     site of rank i has place q**i and mask bit 1 << i, and digits 1 .. n_x
     for the field's non-vacuum spins.  `item_code` maps each (site, spin)
-    to its code term and bit.  `values` is the table's `codes`, less any
-    entry beyond the table's window (an absent code reads 0, as in
+    to its code term and bit.  `values` is the table's `codes` limited to
+    its `readable_entries` (an absent code reads 0, as in
     `CorrelationTable.value`); a table whose `star` is not the field's is
     re-coded once."""
 
@@ -664,14 +669,10 @@ class _OracleReader:
             self.at[s] = tuple(d * q**i for d in range(1, q))
             for b, c in zip(self.star, self.at[s]):
                 self.item_code[s, b] = (c, 1 << i)
+        entries = table.readable_entries()
         self.values = table.codes
-        if len(table.sites) > len(table.window):
-            inside = table.window.issuperset
-            self.values = {
-                code: table.codes[code]
-                for code, items in table.entries
-                if inside(s for s, _ in items)
-            }
+        if entries is not table.entries:
+            self.values = {code: table.codes[code] for code, _ in entries}
         self._terms: dict = {}
 
     def encode(self, items: Iterable[tuple]) -> tuple[int, int]:
@@ -832,7 +833,8 @@ def write_table(
 
     Row format: support sites (';'-separated, coordinates space-separated),
     spin labels (';'-separated), value.  The empty configuration is the
-    row with empty support and spins fields.
+    row with empty support and spins fields.  Entries beyond the window,
+    which `value` reads as 0, are left out.
     """
     lines = []
     texts = {s: _site_text(s) for s in table.sites}
@@ -846,7 +848,7 @@ def write_table(
         lines.append(f"# {key} = {value}")
     lines.append("support,spins,value")
     symbols, codes = spins.symbols, table.codes
-    for code, items in table.entries:
+    for code, items in table.readable_entries():
         sites = ";".join([texts[s] for s, _ in items])
         labels = ";".join([symbols[i] for _, i in items])
         lines.append(f"{sites},{labels},{codes[code]!r}")

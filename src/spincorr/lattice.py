@@ -142,23 +142,6 @@ def concat(x: Configuration, y: Configuration) -> Configuration:
     return Configuration(x.items + y.items)
 
 
-def split_min(x: Configuration) -> tuple[Site, int, Configuration]:
-    """Split off the lexicographically minimal site of the support.
-
-    Returns ``(t, x_t, rest)`` where ``rest`` is ``x`` without site ``t``.
-    """
-    if not x:
-        raise DomainError("cannot split the empty configuration")
-    (t, spin), tail = x.items[0], x.items[1:]
-    return t, spin, Configuration._make(tail)
-
-
-def chebyshev_distance(t: Site, s: Site) -> int:
-    if len(t) != len(s):
-        raise DomainError(f"dimension mismatch: {t!r} vs {s!r}")
-    return max(abs(a - b) for a, b in zip(t, s))
-
-
 def box(lo: Site, hi: Site) -> frozenset:
     """All sites of the axis-aligned box with inclusive corners lo, hi."""
     if len(lo) != len(hi):
@@ -207,11 +190,8 @@ def enumerate_configs(window: Iterable[Site], spins: SpinSpace) -> list:
     sites = sorted(window)
     count = spins.size ** len(sites)
     if count > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"enumeration needs {count} states, budget is {DEFAULT_ENUM_BUDGET}",
-            required=count,
-            budget=DEFAULT_ENUM_BUDGET,
-        )
+        message = f"enumeration needs {count} states, budget is {DEFAULT_ENUM_BUDGET}"
+        raise BudgetExceededError(message)
     keys = [()]
     for site in sites:
         pins = [() if b == spins.vacuum_index else ((site, b),) for b in spins.indices]

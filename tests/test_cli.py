@@ -675,6 +675,31 @@ class TestInputErrors:
         _, err = capsys.readouterr()
         assert err.startswith("budget exceeded: window ") and "limit is 1048576" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["exact", "--window=0:24"],
+                "correlation table needs 33554432 configurations, budget is 16777216",
+            ),
+            (
+                ["exact", "--window=0:15"],
+                "two-route correlation table needs 43046721 enumeration steps, "
+                "budget is 16777216",
+            ),
+            (
+                ["solve", "--window=0:25", "--override-gate"],
+                "operator domain needs 67108863 unknowns, limit is 1048576",
+            ),
+        ],
+        ids=["exact-table", "exact-two-route", "solve-domain"],
+    )
+    def test_budget_refusal_message(self, capsys, argv, message):
+        assert cli.main([*argv, "--model", model("chain_gated")]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"budget exceeded: {message}\n"
+
     def test_window_corner_beyond_the_coordinate_guard_is_exit_two(self, capsys):
         argv = ["exact", "--model", model("chain_gated")]
         assert cli.main([*argv, "--window=-3000000000:-2999999999"]) == 2

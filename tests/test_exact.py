@@ -1245,6 +1245,17 @@ class TestTableIO:
         for cfg, value in table.values.items():
             assert back.values[cfg] == value
 
+    def test_round_trip_drops_entries_beyond_the_window(self, tmp_path):
+        # value() reads an entry beyond the window as 0; read_table refuses a
+        # row outside the window header, so the writer leaves such entries out
+        field, window, table = sparse_table()
+        path = tmp_path / "sparse.csv"
+        write_table(str(path), table, field.spins)
+        back = read_table(str(path), field.spins)
+        assert back.window == table.window
+        for x in enumerate_configs(window, field.spins):
+            assert back.value(x) == table.value(x), x
+
     @pytest.mark.parametrize(
         "text, match",
         [("# window = 0\nnot-the-header\n", "header row")]

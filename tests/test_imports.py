@@ -41,3 +41,20 @@ def test_kept_imports_are_still_unused():
         source = (PACKAGE / module).read_text(encoding="utf-8")
         assert name in unused_imports(source)
 
+
+
+def test_package_all_lists_the_imported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for a in node.names
+    ]
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
+    ]
+    assert exported == sorted(set(exported)), "__all__ is not sorted and duplicate-free"
+    assert set(exported) == set(imported)

@@ -10,12 +10,10 @@ from spincorr import (
     SpinSpace,
     ball,
     box,
-    chebyshev_distance,
     concat,
     distance_to_complement,
     enumerate_configs,
     interior,
-    split_min,
 )
 from spincorr.errors import BudgetExceededError, ModelDefinitionError
 
@@ -74,14 +72,6 @@ class TestConfiguration:
         assert a == b and hash(a) == hash(b)
         assert a != EMPTY_CONFIG
 
-    def test_split_min(self):
-        c = Configuration((((2,), 1), ((0,), 2)))
-        t, spin, rest = split_min(c)
-        assert t == (0,) and spin == 2
-        assert rest.items == (((2,), 1),)
-        with pytest.raises(DomainError):
-            split_min(EMPTY_CONFIG)
-
     def test_concat_disjoint_only(self):
         a = Configuration((((0,), 1),))
         b = Configuration((((1,), 1),))
@@ -91,14 +81,10 @@ class TestConfiguration:
 
     def test_lexicographic_min_site_2d(self):
         c = Configuration((((1, 0), 1), ((0, 5), 1)))
-        assert split_min(c)[0] == (0, 5)
+        assert c.items[0][0] == (0, 5)
 
 
 class TestGeometry:
-    def test_chebyshev(self):
-        assert chebyshev_distance((0, 0), (2, 3)) == 3
-        assert chebyshev_distance((5,), (5,)) == 0
-
     def test_box_and_ball(self):
         assert len(box((-2,), (2,))) == 5
         assert len(box((0, 0), (2, 1))) == 6

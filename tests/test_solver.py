@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pathlib
 import random
@@ -27,7 +28,7 @@ from spincorr.fields import (
     ZeroField,
     field_bounds,
 )
-from spincorr.lattice import enumerate_configs, split_min
+from spincorr.lattice import enumerate_configs
 from spincorr.modelfile import load_model
 from spincorr import solver as solver_module
 from spincorr.solver import (
@@ -93,15 +94,15 @@ def assert_rows_match_oracle(rng, field, window: tuple) -> None:
 def resolve(x: Configuration, key: tuple) -> Configuration:
     """The configuration a row key of x names: x's remainder plus the key's
     (offset from t, spin) pairs placed at x's minimal site t."""
-    t, _, rest = split_min(x)
+    (t, _), rest = x.items[0], x.items[1:]
     placed = [(tuple(a + o for a, o in zip(t, off)), spin) for off, spin in key]
-    return Configuration(rest.items + tuple(placed))
+    return Configuration(rest + tuple(placed))
 
 
 def remainder_coefficient(field, x: Configuration) -> float:
     """Coefficient of the row of x on its remainder x' (gamma for |x| > 1)."""
     _, keys, coeffs = OperatorContext(field, x.support, len(x)).row(x)
-    assert resolve(x, keys[0]) == split_min(x)[2]
+    assert resolve(x, keys[0]).items == x.items[1:]
     return coeffs[0]
 
 
@@ -360,6 +361,51 @@ class TestRowTemplates:
             want = bstar_norm({x: row[3] for x, row in zip(ctx.domain, ctx.rows)})
             assert want > 0.0
             assert ctx.dropped_bstar() == want
+
+
+def model_context(name: str, window, k_max: int, restrict: bool = True):
+    field = load_model(str(ROOT / "models" / f"{name}.model")).field
+    return OperatorContext(field, frozenset(window), k_max, restrict_to_window=restrict)
+
+
+def operator_digest(ctx: OperatorContext) -> str:
+    """sha256 of a materialized context: its codes, free terms, sparse
+    arrays and each row's dropped mass."""
+    ctx.materialize()
+    h = hashlib.sha256(repr(ctx.codes).encode("ascii"))
+    dropped = numpy.array([row[3] for row in ctx.rows], float)
+    for array in (ctx.free, ctx.row_ids, ctx.indices, ctx.data, dropped):
+        h.update(array.dtype.str.encode("ascii") + array.tobytes())
+    return h.hexdigest()
+
+
+GRID_3X3 = tuple((i, j) for i in range(3) for j in range(3))
+# every case reads the interaction neighbourhood: its J-sums, gamma
+# boundaries and window clips
+OPERATOR_CASES = {
+    "chain_gated-0:5": lambda: model_context("chain_gated", chain_window(6), 6),
+    "chain_q3_mid-3:3-kmax3-unrestricted": lambda: model_context(
+        "chain_q3_mid", centered_window(3), 3, restrict=False
+    ),
+    "grid_gated-3x3-kmax2": lambda: model_context("grid_gated", GRID_3X3, 2),
+    "grid_gated-3x3-kmax2-unrestricted": lambda: model_context(
+        "grid_gated", GRID_3X3, 2, restrict=False
+    ),
+    "zero_field-0:4": lambda: model_context("zero_field", chain_window(5), 5),
+}
+# recorded before the rows read the neighbourhood from field.ball_offsets()
+OPERATOR_DIGESTS = {
+    "chain_gated-0:5": "771d5b07c3cfacf92e895623640499117460e9574bf7936be79d7cb89a280f9d",
+    "chain_q3_mid-3:3-kmax3-unrestricted": "5aed46af9308fcc39c1c27579fcd5b41cc7dfaaade2c47b1119fe87bd361b066",
+    "grid_gated-3x3-kmax2": "4abfded8adfabbe713b090d8821806f549c5f3f736f337da324ada65bba0d3ef",
+    "grid_gated-3x3-kmax2-unrestricted": "d2db5e2b193f98782d52c797fa5e4ba6494a4d33e75ac57ef076a7e73eaf56c1",
+    "zero_field-0:4": "27119d833d8642338e22c892154bb6f601d4c3c830b9fd0c9ba324a969318387",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_CASES))
+def test_operator_arrays_are_golden(name):
+    assert operator_digest(OPERATOR_CASES[name]()) == OPERATOR_DIGESTS[name]
 
 
 class TestSolveRoutes:
