@@ -242,8 +242,6 @@ def field_plan_random(
         picked = rng.sample(cloud, min(size_a + size_b, len(cloud)))
         lam = sorted(picked[:size_a])
         vol = sorted(picked[size_a:])
-        if not vol:
-            vol = [tuple(c + 2 * (field.radius + 1) for c in anchor)]
         exclude = set(lam) | set(vol)
         boundary = _random_boundary(rng, reach, spins.star_indices, lam + vol, exclude)
 

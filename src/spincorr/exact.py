@@ -109,8 +109,8 @@ class _TransitionTable:
     window and the boundary counts as vacuum.  Keys pack (ball code, old,
     new) as (code * q + old) * q + new; a homogeneous field shares one dict
     between all sites.  A miss evaluates the field on the ball's non-vacuum
-    spins, exact under the radius contract, and is stored while the table
-    holds fewer than TRANSITION_TABLE_CAP entries.
+    spins, exact under the `ball_offsets()` contract, and is stored while
+    the table holds fewer than TRANSITION_TABLE_CAP entries.
 
     Walkers address window sites by their position k in `order`:
     `neighbours[k]` lists (j, q**i) for each window site j whose ball holds
@@ -752,7 +752,7 @@ def correlation_rhs(
     # g(alpha), over nonempty J inside the window and disjoint from rest and
     # non-vacuum spins y on J: the kernel times rho(rest + y) minus the sum
     # over non-vacuum beta of rho(rest + y + beta at t).  Kernel factors
-    # vanish beyond the field radius, so J ranges over the ball exactly.
+    # vanish off the field's ball_offsets(), so J ranges over them exactly.
     # The terms whose J meets rest are skipped and the others keep their
     # order, so each fsum is that of the J-sum over the ball outside rest.
     get = reader.values.get

@@ -103,11 +103,11 @@ def pair_potential_norm(potential: PairPotential, spins: SpinSpace) -> float:
 class OnePointField:
     """Evaluator contract for one-point transition energies.
 
-    Subclasses provide :meth:`eval`; boundary sites farther than ``radius``
-    (Chebyshev) from the evaluation site must not affect the result.  The
-    contraction constants and the solver's rows are evaluated at the origin,
-    so they refuse a field that is not translation invariant (``homogeneous``),
-    such as :class:`PerturbedField`.
+    Subclasses provide :meth:`eval`; boundary sites outside
+    :meth:`ball_offsets`, which the declared ``radius`` bounds, must not
+    affect the result.  The contraction constants and the solver's rows are
+    evaluated at the origin, so they refuse a field that is not translation
+    invariant (``homogeneous``), such as :class:`PerturbedField`.
     """
 
     spins: SpinSpace
@@ -123,7 +123,8 @@ class OnePointField:
         return (0,) * self.dimension
 
     def ball_offsets(self) -> tuple[Site, ...]:
-        """Sorted nonzero offsets of the dependence neighborhood."""
+        """Sorted nonzero offsets of the sites whose spin can change eval:
+        the ``radius`` ball unless ``__init__`` set ``_ball_offsets``."""
         cached = getattr(self, "_ball_offsets", None)
         if cached is None:
             o = self.origin()
@@ -170,6 +171,8 @@ class PairField(OnePointField):
             mat = by_offset.setdefault(off, [[0.0] * q for _ in range(q)])
             mat[a][b] = value
         self._terms = tuple(sorted(by_offset.items()))
+        # only a coupled site changes eval: the neighbourhood is its offsets
+        self._ball_offsets = tuple(off for off, _ in self._terms)
         self._vac = spins.vacuum_index
 
     def eval(self, t: Site, boundary: Mapping[Site, int], x: int, u: int) -> float:
@@ -233,6 +236,7 @@ class PerturbedField(OnePointField):
         self.spins = base.spins
         self.dimension = base.dimension
         self.radius = base.radius
+        self._ball_offsets = base.ball_offsets()  # the bump reads no boundary
         self.homogeneous = False
         self.site = validate_site(site, base.dimension)
         if not math.isfinite(amount):

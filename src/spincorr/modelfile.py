@@ -16,6 +16,7 @@ A model file is a line-oriented key-value format:
 Coupling keys give the offset between the two sites and the two spin labels;
 the mirrored entry is filled in automatically.  Offsets make the coupling
 table translation invariant, so only homogeneous models can be expressed.
+``range`` bounds the offsets; the nonzero couplings fix the neighbourhood.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from .errors import ModelFileError
 from .fields import OnePointField, PairField, PairPotential, PerturbedField
 from .lattice import SpinSpace, Site
 
-# Every ball() around a site holds (2 * range + 1) ** dimension sites, and
-# the bounds and operator rows walk such balls, so the cost of a run grows
-# with the declared range, not with the couplings.  729 admits range 4 in
-# three dimensions, range 13 in two and range 2 in four.
+# The couplings fix a site's neighbourhood, but the identity plans (verify's
+# and the environment gate's) draw from the ball of range + 1, so their cost
+# grows with the declared range.  The guard caps the ball of range itself,
+# (2 * range + 1) ** dimension sites: 729 admits range 4 in three
+# dimensions, range 13 in two and range 2 in four.
 MAX_BALL_SITES = 729
 
 

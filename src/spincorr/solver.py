@@ -16,9 +16,10 @@ x', the equation reads
 
 with kappa(J,y) = K(x_t,y)(1 + sum_a w_a) - sum_a w_a K(a,y), where w_a
 are the single-site exponential weights at boundary x' and K(a,y) is the
-product kernel.  Kernel factors vanish beyond the interaction radius, so
-the J-sum over subsets of the ball around t is exact for finite-range
-fields.
+product kernel.  Kernel factors vanish outside the field's neighbourhood
+(``ball_offsets()``: for a pair field, the offsets of its nonzero
+couplings), so the J-sum over subsets of that neighbourhood around t is
+exact for finite-range fields.
 """
 
 from __future__ import annotations
@@ -230,13 +231,7 @@ class OperatorContext:
         if self.restrict_to_window:
             candidates &= self.window
         kf = self.kernel_factor
-        # every subset term containing a site whose kernel factors all
-        # vanish has coefficient 0, so such sites never enter the J-sum
-        sites = [
-            s
-            for s in sorted(candidates)
-            if any(kf(t, s, a, b) for a in star for b in star)
-        ]
+        sites = sorted(candidates)
         zero = _sub(t, t)
         weight_sum = denom  # 1 + sum of star weights
         for k in range(1, len(sites) + 1):
@@ -444,10 +439,9 @@ def _iterate(ctx: OperatorContext, tol: float, limit: int) -> tuple:
         )
 
     residual = ctx.group_norm(phi - free - ctx.matvec(phi))
-    if residual > RESIDUAL_TOL:
+    if residual > (bound := max(tol, RESIDUAL_TOL)):  # a loose tol leaves ~tol
         raise SolverDivergenceError(
-            f"converged updates but residual {residual!r} exceeds "
-            f"{RESIDUAL_TOL!r}",
+            f"converged updates but residual {residual!r} exceeds {bound!r}",
             rate=updates[-1] / updates[-2] if len(updates) > 1 else 0.0,
             iterations=iterations,
         )
@@ -634,7 +628,7 @@ def tail_f_bound(
 ) -> float:
     """Window-replacement tail: how much one operator application can
     move mass across a distance-r boundary.  Derived from the proof
-    chain, not a quoted formula; 0 beyond the interaction radius."""
+    chain, not a quoted formula; 0 beyond the farthest coupled offset."""
     if r < 0:
         raise DomainError("distance must be >= 0")
     if bounds is None:

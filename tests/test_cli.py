@@ -620,6 +620,44 @@ class TestCommonFlags:
         assert out == ""
         assert flag.partition("=")[0] in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--window=0:5", "--tol", "1e-6"],
+            ["solve", "--window=0:5", "--tol", "1e-8"],
+            ["converge", "--window=0:2;-1:3", "--tol", "1e-6"],
+        ],
+        ids=["solve-1e-6", "solve-1e-8", "converge-1e-6"],
+    )
+    def test_a_loose_tol_bounds_the_residual(self, capsys, argv):
+        # stopping at --tol leaves a residual near it, which used to fail
+        # the fixed 1e-10 bound with exit 5
+        assert cli.main([*argv, "--model", model("chain_gated")]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve", "--window=0:3"], ["converge", "--window=0:2;0:4"]],
+    ids=["solve", "converge"],
+)
+def test_environment_failure_is_exit_one(monkeypatch, capsys, argv):
+    # a three-body term passes the gate at strength 0.02 but breaks the
+    # boundary-replacement identity that the solver needs
+    from dataclasses import replace
+
+    from spincorr.fields import TripleInteractionField
+    from spincorr.modelfile import load_model
+
+    base = load_model(model("chain_gated"))
+    broken = replace(base, field=TripleInteractionField(base.field, 0.02))
+    monkeypatch.setattr(cli, "load_model", lambda path: broken)
+    assert cli.main([*argv, "--model", model("chain_gated")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("identity failure: ")
+    assert lines[1].startswith("witness: ") and "(residual " in lines[1]
+
 
 class TestInputErrors:
     def test_missing_model_file(self):
@@ -746,6 +784,11 @@ class TestImportCost:
         )
         assert loaded_after(code) == loaded
 
+    def test_solver_import_loads_neither(self):
+        # the benchmark's workers import the solver before they read their
+        # peak RSS; numpy alone would add about 10 MB to it
+        assert loaded_after("import spincorr.solver") == "[]"
+
     def test_exact_does_not_load_the_solver(self):
         argv = ["exact", "--model", model("chain_gated"), "--window=0:3"]
         code = f"from spincorr import cli\nassert cli.main({argv!r}) == 0"
@@ -855,6 +898,33 @@ def test_outputs_keep_their_bytes(tmp_path, name, command):
     argv = [command, "--model", str(path), f"--window={window}"]
     digests = output_digests(tmp_path, *argv)
     assert digests == TABLE_DIGESTS[name, command]
+
+
+# grid_gated couples only its 4 axis neighbours, so declaring range = 2
+# widens the bound alone: every output keeps its bytes but the model digest
+RANGE_TWO_RUNS = {
+    "exact": ["exact", "--window=0,0:2,2"],
+    "solve-both": ["solve", "--window=0,0:1,2", "--method", "both"],
+    "solve-kmax2": ["solve", "--window=-1,-1:2,2", "--kmax", "2"],
+    "converge": ["converge", "--window=0,0:1,1;0,0:2,2"],
+    "bounds": ["bounds"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_TWO_RUNS))
+def test_declared_range_past_the_couplings_keeps_the_outputs(tmp_path, capsys, name):
+    wide = tmp_path / "wide.model"
+    text = (MODELS / "grid_gated.model").read_text(encoding="utf-8")
+    wide.write_text(text.replace("range = 1", "range = 2"), encoding="utf-8")
+    outputs = []
+    for path in (model("grid_gated"), str(wide)):
+        out = tmp_path / f"{len(outputs)}.csv"
+        assert cli.main([*RANGE_TWO_RUNS[name], "--model", path, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        outputs.append(
+            [l for l in (stdout + out.read_text()).splitlines() if "model_digest" not in l]
+        )
+    assert outputs[0] == outputs[1]
 
 
 def test_two_block_table_keeps_its_bytes(tmp_path):

@@ -111,6 +111,41 @@ class TestPairFieldEval:
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
+def model_field(name: str):
+    return load_model(str(MODELS / f"{name}.model")).field
+
+
+class TestBallOffsets:
+    """The neighbourhood every reader walks: the offsets of the sites whose
+    spin can change a field's eval, within the declared range."""
+
+    def test_grid_reads_its_axis_neighbours_only(self):
+        # range 1 in 2-d declares 8 sites; only the 4 axis neighbours couple
+        offsets = model_field("grid_gated").ball_offsets()
+        assert offsets == ((-1, 0), (0, -1), (0, 1), (1, 0))
+
+    def test_range_two_chain_reads_both_distances(self):
+        field = model_field("chain_q3_mid")
+        # declaring range 3 for the same couplings widens only the bound
+        wide = PairPotential.create(1, 3, field.potential.couplings, field.spins)
+        for f in (field, PairField(wide, field.spins)):
+            assert f.ball_offsets() == ((-2,), (-1,), (1,), (2,))
+
+    def test_free_field_reads_no_site(self):
+        assert model_field("zero_field").ball_offsets() == ()
+        uncoupled = PairField(PairPotential.create(2, 1, {}, SPINS2), SPINS2)
+        assert uncoupled.ball_offsets() == ()
+
+    def test_perturbed_field_reads_its_base_neighbourhood(self):
+        bumped = PerturbedField(model_field("grid_gated"), (0, 0), 1, 0, 0.2)
+        assert bumped.ball_offsets() == ((-1, 0), (0, -1), (0, 1), (1, 0))
+
+    def test_triple_interaction_reads_the_whole_ball(self):
+        # its three-body term counts marked spins on every site of the ball
+        field = TripleInteractionField(model_field("grid_gated"), 0.02)
+        assert field.ball_offsets() == tuple(sorted(ball((0, 0), 1) - {(0, 0)}))
+
+
 def ball_boundary(rng, field, near, exclude):
     """A random boundary drawn from freshly built balls, with a validated
     Configuration: the draws each plan must reproduce."""
@@ -151,10 +186,10 @@ def ball_one_point_plan(field, rng, instances):
 
 PLAN_FIELDS = {
     "chain": lambda: chain_field(0.045),
-    "grid_gated": lambda: load_model(str(MODELS / "grid_gated.model")).field,
+    "grid_gated": lambda: model_field("grid_gated"),
     "range-2 chain": lambda: chain_field(0.1, radius=2),
     "q3": lambda: random_pair_field(random.Random(4), 1, SPINS3, 1),
-    "q3 mid-vacuum range-2": lambda: load_model(str(MODELS / "chain_q3_mid.model")).field,
+    "q3 mid-vacuum range-2": lambda: model_field("chain_q3_mid"),
 }
 
 

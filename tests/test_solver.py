@@ -408,6 +408,23 @@ def test_operator_arrays_are_golden(name):
     assert operator_digest(OPERATOR_CASES[name]()) == OPERATOR_DIGESTS[name]
 
 
+@pytest.mark.parametrize("restrict", [True, False], ids=["restricted", "unrestricted"])
+def test_declared_range_past_the_couplings_keeps_the_operator(tmp_path, restrict):
+    # grid_gated couples its 4 axis neighbours; range 2 declares 24 sites
+    source = (ROOT / "models" / "grid_gated.model").read_text(encoding="utf-8")
+    path = tmp_path / "wide.model"
+    path.write_text(source.replace("range = 1", "range = 2"), encoding="utf-8")
+    contexts = [
+        OperatorContext(load_model(str(p)).field, frozenset(GRID_3X3), 2, restrict)
+        for p in (ROOT / "models" / "grid_gated.model", path)
+    ]
+    name = "grid_gated-3x3-kmax2" + ("" if restrict else "-unrestricted")
+    assert [operator_digest(ctx) for ctx in contexts] == [OPERATOR_DIGESTS[name]] * 2
+    # the gamma memo keys only coupled sites, so the wider range adds none
+    narrow, wide = contexts
+    assert wide._weights_memo.keys() == narrow._weights_memo.keys()
+
+
 class TestSolveRoutes:
     def test_iterative_matches_enumeration(self):
         field = chain_field(0.045)
@@ -555,6 +572,29 @@ class TestGates:
             solve_finite_volume(chain_field(0.045), chain_window(6))
         assert err.value.iterations == 2
 
+    class ResidualStub:
+        """Converges on the first update, then leaves `residual` behind."""
+
+        def __init__(self, residual):
+            self.free = numpy.zeros(1)
+            self.reads = iter([numpy.zeros(1), numpy.full(1, residual)])
+
+        def matvec(self, phi):
+            return next(self.reads)
+
+        def group_norm(self, vec):
+            return float(numpy.abs(vec).max())
+
+    def test_residual_above_the_default_bound_is_divergence(self):
+        with pytest.raises(SolverDivergenceError, match="exceeds 1e-10"):
+            solver._iterate(self.ResidualStub(1e-8), solver.DEFAULT_TOL, 10)
+
+    def test_a_loose_tol_bounds_the_residual(self):
+        _, iterations, _, residual, _ = solver._iterate(
+            self.ResidualStub(1e-8), 1e-6, 10
+        )
+        assert (iterations, residual) == (1, 1e-8)
+
 
 class TestInfiniteVolume:
     def test_window_iteration_approaches_enumeration_in_the_bulk(self):
@@ -586,9 +626,9 @@ class TestInfiniteVolume:
 
 
     def test_zero_factor_sites_stay_out_of_the_j_sum(self, tmp_path):
-        # range 2 in 2-d puts 24 sites in the interaction ball, but only the
-        # two (0,+-1) neighbours couple; enumerating J over all 24 would
-        # walk 2^24 subsets per row
+        # range 2 in 2-d declares 24 sites, but only the two (0,+-1)
+        # neighbours couple, so they are the field's whole neighbourhood;
+        # a J-sum over all 24 would walk 2^24 subsets per row
         path = tmp_path / "sparse.model"
         path.write_text(
             "dimension = 2\nspins = 0 a\nvacuum = 0\nrange = 2\n"
