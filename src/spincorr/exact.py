@@ -1,27 +1,28 @@
 """Exact finite-volume quantities by full enumeration.
 
 Everything here is brute force on purpose: partition functions, Gibbs
-tables, and correlation functions are computed by walking every
-configuration of the window, and serve as ground truth for the solver.
-Each enumeration builds one transition table of single-site energies.
-All but one route walk the table's whole window through `_block_weights`
-in reflected Gray-code order, so each step changes one site and updates
-the volume energy by one single-site transition.  A walk runs in blocks
-of q**b positions aligned to multiples of q**b, q**b the largest power
-within DEFAULT_BLOCK; each block restarts from the telescoped energy of
-its first configuration, so rounding drift cannot accumulate across more
-than one block, and steps through the table's cached Gray move list in
-a local loop.  `rho_probe` pins no walk: a probe's numerator is a
-partition function with the probe moved into the boundary.  The
-exception is `rho_exact`'s extension route, whose weights share only the
-table: `_telescoped_weights` sums every configuration's energy in
-telescoping order, without a walk, in one pass per site that extends
-every partial sum of the later sites.  Both routes fold their weights into
-numerators with `_fold_numerators`, site by site in slices per block of
-the site's axis or strided slices per offset, whichever are fewer.
-The walks assume a volume-consistent field, whose walked energy does not
-depend on the path; only `rho_exact`'s default two-route check refuses
-one that is not, because its routes then part.
+tables, and correlation functions are computed from every configuration
+of the window, and serve as ground truth for the solver.  Each
+enumeration builds one transition table of single-site energies, and
+two engines read it, one job each.  Full weight tables (`rho_exact`,
+`gibbs_distribution`) come from `_telescoped_weights`, which sums every
+configuration's energy in telescoping order in one pass per site that
+extends every partial sum of the later sites; `rho_exact` folds them
+into numerators with `_fold_numerators`, site by site in slices per
+block of the site's axis or strided slices per offset, whichever are
+fewer.  Partition functions stream through `_block_weights`, which walks
+the window in reflected Gray-code order, so each step changes one site
+and updates the volume energy by one single-site transition, and keeps
+no weight.  A walk runs in blocks of q**b positions aligned to multiples
+of q**b, q**b the largest power within DEFAULT_BLOCK; each block
+restarts from the telescoped energy of its first configuration, so
+rounding drift cannot accumulate across more than one block, and steps
+through the table's cached Gray move list in a local loop.  `rho_probe`
+pins no walk: a probe's numerator is a partition function with the
+probe moved into the boundary.  Both engines assume a volume-consistent
+field, whose energy does not depend on the order its sites are placed
+in; only `rho_exact`'s default check refuses one that is not, when the
+walk's Z parts from the pass's.
 
 A `CorrelationTable` holds its values by integer code.  The
 correlation-equation checker re-implements the equation it tests from
@@ -70,6 +71,17 @@ def _check_budget(required: int, what: str, unit: str = "configurations") -> Non
         raise BudgetExceededError(message)
 
 
+def _full_table(
+    field: OnePointField, window: frozenset, boundary: Configuration, what: str, route: str = ""
+) -> _TransitionTable:
+    """The transition table of a full weight table, within the caps every
+    such table shares: q**n configurations and (q + n_x)**n steps."""
+    q, n = field.spins.size, len(window)
+    _check_budget(q**n, what)
+    _check_budget((q + field.spins.n_x) ** n, route + what, "enumeration steps")
+    return _TransitionTable(field, window, boundary)
+
+
 def _oracle_exp(exponent: float, what: str) -> float:
     """exp for the oracle's weights and kernel factors: an exponent that
     underflows gives 0, one beyond the safe range is refused."""
@@ -112,7 +124,7 @@ class _TransitionTable:
     spins, exact under the `ball_offsets()` contract, and is stored while
     the table holds fewer than TRANSITION_TABLE_CAP entries.
 
-    Walkers address window sites by their position k in `order`:
+    Walkers and the pass address window sites by their position k in `order`:
     `neighbours[k]` lists (j, q**i) for each window site j whose ball holds
     site k at ball index i, `boundary_codes[k]` is the ball code of site k
     with the whole window vacuum, and `memo_list[k]` is its memo.
@@ -241,24 +253,22 @@ class _VolumeWalker:
     whose digit k is the spin of window site k (first site most
     significant), so consecutive configurations differ at exactly one site
     by one spin index.  Tracks the full-volume energy Delta_window(current,
-    vacuum) with the table's boundary, and `code`, the base-q number the
-    digits spell.  `seek` recomputes the energy from scratch
-    (telescoping); `advance` adds one table entry and updates the ball
-    codes (`codes`, by window position) of the sites whose balls hold the
-    moved one.  `walk` yields a whole aligned block of q**b positions:
-    inside it only the lowest b digits move, through the table's cached
-    b-digit move list, in a local loop that makes no method call per step.
+    vacuum) with the table's boundary.  `seek` recomputes the energy from
+    scratch (telescoping); `advance` adds one table entry and updates the
+    ball codes (`codes`, by window position) of the sites whose balls hold
+    the moved one.  `walk` gives the energies of a whole aligned block of
+    q**b positions: inside it only the lowest b digits move, through the
+    table's cached b-digit move list, in a local loop that makes no method
+    call per step.  Production reads only `walk`, to stream Z; `seek` and
+    `advance` are its step-by-step reference.
     """
 
     def __init__(self, table: _TransitionTable):
         self.table = table
         self.base = table.base
         self.vacuum = table.vacuum
-        n = len(table.order)
-        self.digits = [0] * n
-        self.steps = [1] * n
-        self.places = [self.base ** (n - 1 - pos) for pos in range(n)]
-        self.code = 0
+        self.digits = [0] * len(table.order)
+        self.steps = [1] * len(table.order)
         self.delta = 0.0
         self.codes: list = []  # set by seek
 
@@ -282,7 +292,6 @@ class _VolumeWalker:
             self.steps[pos] = -1 if reflected else 1
             if digit % 2:
                 reflected = not reflected
-        self.code = sum(d * p for d, p in zip(digits, self.places))
         table = self.table
         vac = self.vacuum
         codes = list(table.boundary_codes)
@@ -305,7 +314,6 @@ class _VolumeWalker:
         q = self.base
         step = self.steps[pos]
         new = self.digits[pos]
-        self.code += step * self.places[pos]
         table = self.table
         codes = self.codes
         code = codes[pos]
@@ -317,12 +325,11 @@ class _VolumeWalker:
             codes[j] += step * place
         return True
 
-    def walk(self, start: int, stop: int, codes: list | None = None) -> list:
+    def walk(self, start: int, stop: int) -> list:
         """The energies at positions start .. stop - 1, which must be one
-        aligned block of `table.blocks`; each position's `code` goes to
-        `codes` if given.  The lowest b digits run the table's b-digit move
-        list, forward when they start all 0 and backward otherwise.  The
-        walker stays at position `start`."""
+        aligned block of `table.blocks`.  The lowest b digits run the
+        table's b-digit move list, forward when they start all 0 and
+        backward otherwise.  The walker stays at position `start`."""
         table = self.table
         q = self.base
         n = len(self.digits)
@@ -349,31 +356,17 @@ class _VolumeWalker:
             append(delta)
             for j, place in neighbours[k]:
                 ball_codes[j] += step * place
-        if codes is not None:
-            places = self.places[::-1]
-            code = self.code
-            codes.append(code)
-            for d, _, step in moves:
-                code += step * places[d]
-                codes.append(code)
         return deltas
 
 
-def _block_weights(transitions: _TransitionTable, weights: list | None = None) -> list:
+def _block_weights(transitions: _TransitionTable) -> list:
     """The one enumeration walk: every configuration of the table's
     window, walked block by block through `map_blocks`.  Returns the fsum
     of each block's weights exp{Delta_window(x, vacuum)} in block order,
-    and stores each weight at `weights[code]` if given; a code spells the
-    window's spins as `_VolumeWalker.code` does."""
+    holding one block's weights at a time."""
 
     def job(start: int, stop: int) -> float:
-        walker = _VolumeWalker(transitions)
-        codes = None if weights is None else []
-        block = _exp_all(walker.walk(start, stop, codes))
-        if weights is not None:
-            for code, w in zip(codes, block):
-                weights[code] = w
-        return _weight_sum(block)
+        return _weight_sum(_exp_all(_VolumeWalker(transitions).walk(start, stop)))
 
     return map_blocks(job, transitions.blocks())
 
@@ -411,13 +404,12 @@ def gibbs_distribution(
     window: Iterable[tuple],
     boundary: Configuration = EMPTY_CONFIG,
 ) -> GibbsTable:
-    """Normalized Boltzmann weights exp{Delta_window(x, vacuum)}.  Assumes
-    a volume-consistent field (see the module docstring)."""
+    """Normalized Boltzmann weights exp{Delta_window(x, vacuum)} from the
+    telescoped pass; assumes a volume-consistent field (module docstring)."""
     window = frozenset(window)
-    _check_budget(field.spins.size ** len(window), "Gibbs table")
-    transitions = _TransitionTable(field, window, boundary)
-    weights = [0.0] * field.spins.size ** len(window)
-    z = _weight_sum(_block_weights(transitions, weights))
+    transitions = _full_table(field, window, boundary, "Gibbs table")
+    weights = _telescoped_weights(transitions)
+    z = _weight_sum(weights)
     configs = enumerate_configs(window, field.spins)
     probabilities = {x: w / z for x, w in zip(configs, weights)}
     return GibbsTable(window, probabilities, z)
@@ -558,51 +550,33 @@ def rho_exact(
     boundary: Configuration = EMPTY_CONFIG,
     method: str = "both",
 ) -> CorrelationTable:
-    """Full correlation table over the window.
-
-    Each route folds one weight per configuration into the numerators
-    (`_fold_numerators`): method "marginal" the walked weights,
-    "extension" the telescoped ones; "both" (default) computes the table
-    both ways and insists they agree within SELF_CHECK_TOL.
-    """
+    """Full correlation table over the window: the telescoped pass's
+    weights folded into numerators (`_fold_numerators`) over their Z.
+    Method "both" (the default) first streams Z through the walk, which
+    shares only the transition table with the pass, and insists the two
+    agree within SELF_CHECK_TOL; "extension" skips the walk."""
     window = frozenset(window)
     spins = field.spins
-    _check_budget(spins.size ** len(window), "correlation table")
-    if method not in ("marginal", "extension", "both"):
+    if method not in ("extension", "both"):
         raise DomainError(f"unknown method {method!r}")
-    if method == "both":
-        cost = (spins.size + spins.n_x) ** len(window)
-        _check_budget(cost, "two-route correlation table", "enumeration steps")
-
-    transitions = _TransitionTable(field, window, boundary)
-    tables = []
-    if method != "extension":
-        weights = [0.0] * spins.size ** len(window)
-        z = _weight_sum(_block_weights(transitions, weights))
-        tables.append((z, _fold_numerators(transitions, weights)))
-    if method != "marginal":
-        weights = _telescoped_weights(transitions)
-        tables.append((_weight_sum(weights), _fold_numerators(transitions, weights)))
-    # the table code at each walk code, whose digit k is the spin index of
+    route = "two-route " if method == "both" else ""
+    transitions = _full_table(field, window, boundary, "correlation table", route)
+    # the walk runs first, so that its blocks are gone before the pass's list
+    walked = _weight_sum(_block_weights(transitions)) if method == "both" else None
+    weights = _telescoped_weights(transitions)
+    z = _weight_sum(weights)
+    gap = 0.0 if walked is None else abs(walked / z - 1.0)
+    if gap > SELF_CHECK_TOL:
+        why = f"walked vs telescoped Z differ by {gap!r} relative (tolerance {SELF_CHECK_TOL!r})"
+        raise DomainError(f"correlation routes disagree: {why}")
+    numerators = _fold_numerators(transitions, weights)
+    # the table code at each pass code, whose digit k is the spin index of
     # window site k, first site most significant
     digit = {b: d for d, b in enumerate(spins.star_indices, 1)}
     codes = [0]
     for k in range(len(window)):
         pins = [digit.get(b, 0) * spins.size**k for b in spins.indices]
         codes = [c + pin for c in codes for pin in pins]
-    z, numerators = tables[0]
-    if method == "both":
-        z2, numerators2 = tables[1]
-        worst = abs(z2 / z - 1.0)
-        for code, num, num2 in zip(codes, numerators, numerators2):
-            if code:
-                worst = max(worst, abs(num / z - num2 / z2))
-        if worst > SELF_CHECK_TOL:
-            raise DomainError(
-                "correlation routes disagree: marginal vs extension "
-                f"differ by {worst!r} (tolerance {SELF_CHECK_TOL!r})"
-            )
-
     values = dict(zip(codes, [num / z for num in numerators]))
     values[0] = 1.0
     return CorrelationTable.from_codes(window, spins.star_indices, values, z, len(window))

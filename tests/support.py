@@ -66,6 +66,20 @@ def random_pair_field(
     return PairField(pot, spins)
 
 
+# The 2-d lattice gas at Ising coexistence: h = -2J, Ising K = 0.75 above
+# K_c ~ 0.4407, so its infinite-volume Gibbs measure is not unique.  Kept out
+# of models/ so that the rosters over that folder stay comparable.
+COEXISTENCE_MODEL = """\
+dimension = 2
+spins = 0 1
+vacuum = 0
+range = 1
+coupling (1,0) 1 1 = -3.0
+coupling (0,1) 1 1 = -3.0
+onebody 1 = 6.0
+"""
+
+
 def singleton(site: tuple, spin: int = 1) -> Configuration:
     return Configuration(((site, spin),))
 

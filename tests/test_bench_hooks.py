@@ -99,8 +99,8 @@ def test_tracer_spans_real_jobs(monkeypatch, capsys):
 
 
 def test_exact_job_blocks_are_the_marginal_walk(monkeypatch, capsys):
-    # the benchmark's exact job: only the marginal route walks, through
-    # map_blocks; the extension route reads one telescoped weight pass
+    # the benchmark's exact job: only the self-check's Z walks, through
+    # map_blocks; the table's weights come from one telescoped pass
     tracing = import_tracing(monkeypatch)
     counter = tracing.Counter()
     with counter.installed():

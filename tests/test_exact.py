@@ -17,8 +17,10 @@ from spincorr import (
     PairField,
     PairPotential,
     box,
+    field_bounds,
     gibbs_distribution,
     load_model,
+    parse_model,
     partition_function,
     read_table,
     rho_exact,
@@ -44,6 +46,7 @@ from spincorr.lattice import SpinSpace
 from spincorr.lattice import enumerate_configs
 
 from support import (
+    COEXISTENCE_MODEL,
     MALFORMED_TABLES,
     SPINS2,
     SPINS3,
@@ -59,7 +62,7 @@ WINDOW2 = ((0,), (1,))
 # three spins with the vacuum in the middle of the alphabet
 SPINS3_MID = SpinSpace(("a", "0", "b"), vacuum_index=1)
 SPINS4 = SpinSpace(("a", "b", "0", "c"), vacuum_index=2)
-METHODS = ("marginal", "extension", "both")
+METHODS = ("extension", "both")
 
 
 def chain_window(n: int) -> tuple:
@@ -224,14 +227,14 @@ class TestVolumeWalker:
             assert abs(changed[0][0] - changed[0][1]) == 1
 
     def test_code_spells_the_digits(self, name):
+        # the pass's weight at the code that the digits spell, first site
+        # most significant, is that of the configuration seek telescopes
         field, walker, start, total = self.setup_walk(name)
-        walker.seek(start)
-        for _ in range(total - start):
-            expected = 0
-            for d in walker.digits:
-                expected = expected * walker.base + d
-            assert walker.code == expected
-            walker.advance()
+        weights = exact._telescoped_weights(walker.table)
+        for position in range(start, total):
+            walker.seek(position)
+            code = functools.reduce(lambda c, d: c * walker.base + d, walker.digits, 0)
+            assert weights[code] == pytest.approx(math.exp(walker.delta), rel=1e-12, abs=0.0)
 
     def test_energy_tracks_telescoped_value(self, name):
         field, walker, start, total = self.setup_walk(name)
@@ -372,23 +375,13 @@ class TestBlockWalks:
 
     @staticmethod
     def stepped(walker, start, stop):
-        """(digits, code, delta) by seek(start) and advance() steps."""
+        """(digits, delta) by seek(start) and advance() steps."""
         walker.seek(start)
         out = []
         for _ in range(start, stop):
-            out.append((tuple(walker.digits), walker.code, walker.delta))
+            out.append((tuple(walker.digits), walker.delta))
             walker.advance()
         return out
-
-    @staticmethod
-    def walked(walker, start, stop):
-        """(digits, code, delta) from walk(start, stop), digits read off
-        the codes."""
-        q, n = walker.base, len(walker.digits)
-        codes: list = []
-        deltas = walker.walk(start, stop, codes)
-        digits = [tuple(c // q ** (n - 1 - p) % q for p in range(n)) for c in codes]
-        return list(zip(digits, codes, deltas))
 
     def test_blocks_match_seek_and_advance_bit_for_bit(self, name):
         field, walker = self.setup_walk(name)
@@ -396,9 +389,8 @@ class TestBlockWalks:
         blocks = table.blocks()
         assert len(blocks) >= 3
         for start, stop in blocks:
-            assert self.walked(walker, start, stop) == self.stepped(
-                walker, start, stop
-            )
+            stepped = self.stepped(walker, start, stop)
+            assert walker.walk(start, stop) == [delta for _, delta in stepped]
         # both directions of one move list were read, and nothing else
         b = table.block_digits
         assert set(table._moves) == {(b, True), (b, False)}
@@ -407,7 +399,8 @@ class TestBlockWalks:
         field, walker = self.setup_walk(name)
         table = walker.table
         for start, stop in table.blocks():
-            for digits, _, delta in self.walked(walker, start, stop):
+            stepped = self.stepped(walker, start, stop)
+            for (digits, _), delta in zip(stepped, walker.walk(start, stop)):
                 x = Configuration._make(support_items(walker, digits))
                 telescoped = delta_volume(
                     field, table.order, table.boundary, x, EMPTY_CONFIG
@@ -418,9 +411,9 @@ class TestBlockWalks:
         field, walker = self.setup_walk(name)
         start, stop = walker.table.blocks()[1]
         walker.seek(start)
-        before = (list(walker.digits), walker.code, walker.delta, list(walker.codes))
+        before = (list(walker.digits), walker.delta, list(walker.codes))
         walker.walk(start, stop)
-        assert (list(walker.digits), walker.code, walker.delta, walker.codes) == before
+        assert (list(walker.digits), walker.delta, walker.codes) == before
 
     def test_rejects_an_unaligned_range(self, name):
         field, walker = self.setup_walk(name)
@@ -537,9 +530,9 @@ def test_telescoped_weights_match_the_recursive_pass_bit_for_bit(monkeypatch, na
 
 
 def test_extension_route_walks_nothing(monkeypatch):
-    # the extension route's weights share only the transition table with
-    # the marginal route: no walker, so a path-dependent walk cannot agree
-    # with itself
+    # the table's weights come from the telescoped pass, which shares only
+    # the transition table with the walk: "extension" builds no walker,
+    # and the default builds walkers only to stream its check's Z
     built = []
     init = _VolumeWalker.__init__
 
@@ -552,8 +545,23 @@ def test_extension_route_walks_nothing(monkeypatch):
     table = rho_exact(field, chain_window(5), method="extension")
     assert built == []
     assert len(table.values) == 3**5 and table.partition_value > 0
-    rho_exact(field, chain_window(5), method="marginal")
+    assert rho_exact(field, chain_window(5)).codes == table.codes
     assert built  # the counter sees the walks that do run
+
+
+def walked_weights(transitions) -> list:
+    """exp of the energies that seek(0) and advance() steps walk, each at
+    the code that its digits spell."""
+    walker = _VolumeWalker(transitions)
+    q = transitions.base
+    weights = [0.0] * q ** len(transitions.order)
+    walker.seek(0)
+    moved = True
+    while moved:
+        code = functools.reduce(lambda c, d: c * q + d, walker.digits, 0)
+        weights[code] = math.exp(walker.delta)
+        moved = walker.advance()
+    return weights
 
 
 def block_fold(transitions, weights: list) -> list:
@@ -578,8 +586,7 @@ def test_fold_matches_the_block_order_bit_for_bit(model, sites, route):
     field = load_model(str(MODELS / f"{model}.model")).field
     table = _TransitionTable(field, frozenset(chain_window(sites)), EMPTY_CONFIG)
     if route == "walked":
-        weights = [0.0] * field.spins.size**sites
-        exact._block_weights(table, weights)
+        weights = walked_weights(table)
     else:
         weights = exact._telescoped_weights(table)
     expected = block_fold(table, list(weights))
@@ -665,13 +672,15 @@ class TestGibbsDistribution:
             assert p == pytest.approx(p_ref * math.exp(delta), abs=1e-12)
 
     def test_partition_value_is_one_sum(self):
-        # every enumeration sums its block sums of the walked weights the
-        # same way; 2**13 configurations walk in more than one block
+        # the full tables share the pass's Z; the walk streams its own,
+        # 2**13 configurations in more than one block, within the
+        # self-check's tolerance
         field = load_model(str(MODELS / "chain_ln2.model")).field
         window = box((0,), (12,))
-        z = partition_function(field, window)
+        z = rho_exact(field, window).partition_value
         assert gibbs_distribution(field, window).partition_value == z
-        assert rho_exact(field, window).partition_value == z
+        walked = partition_function(field, window)
+        assert walked == pytest.approx(z, rel=exact.SELF_CHECK_TOL, abs=0.0)
 
     def test_probability_outside_window(self):
         dist = gibbs_distribution(chain_field(0.2), WINDOW2)
@@ -713,29 +722,28 @@ class TestRhoExact:
         )
 
     def test_marginal_and_extension_routes_agree(self):
+        # every entry of the pass's table against rho_probe's marginal,
+        # a ratio of partition functions that the walk streams
         rng = random.Random(7)
         field = random_pair_field(rng, 1, SPINS2, 2)
         window = chain_window(6)
-        a = rho_exact(field, window, method="marginal")
-        b = rho_exact(field, window, method="extension")
-        assert a.partition_value == pytest.approx(b.partition_value, rel=1e-13)
-        worst = max(abs(a.values[c] - b.values[c]) for c in a.values)
-        assert worst <= 1e-13
+        table = rho_exact(field, window, method="extension")
+        z = partition_function(field, window)
+        assert table.partition_value == pytest.approx(z, rel=1e-13)
+        marginals = rho_probe(field, window, list(table.values))
+        assert max(abs(marginals[c] - v) for c, v in table.values.items()) <= 1e-13
 
     def test_routes_agree_across_blocks(self):
         # 3**7 = 2187 configurations: the walk restarts at position 2048,
-        # inside the Gray sequence, on both routes.
+        # inside the Gray sequence, for Z and for every probe's numerator.
         rng = random.Random(17)
         field = random_pair_field(rng, 2, SPINS3_MID, 1, max_coupling=0.3)
         window = tuple((i, j) for i in range(3) for j in range(3))[:7]
         boundary = config(((-1, 0), 0), ((1, 3), 2), ((3, 0), 0))
-        a = rho_exact(field, window, boundary=boundary, method="marginal")
-        b = rho_exact(field, window, boundary=boundary, method="extension")
+        a = rho_exact(field, window, boundary=boundary)
         assert len(a.values) == 3**7
-        assert set(a.values) == set(b.values)
-        assert a.partition_value == pytest.approx(b.partition_value, rel=1e-13)
-        worst = max(abs(a.values[c] - b.values[c]) for c in a.values)
-        assert worst <= 1e-13
+        z = partition_function(field, window, boundary)
+        assert a.partition_value == pytest.approx(z, rel=1e-13)
         probes = [
             EMPTY_CONFIG,
             config(((0, 0), 0)),
@@ -753,11 +761,9 @@ class TestRhoExact:
         field = consistent_field(kind, random.Random(kind), 2, SPINS3_MID)
         window = tuple((i, j) for i in range(3) for j in range(3))[:7]
         boundary = config(((-1, 0), 0), ((1, 3), 2), ((3, 0), 0), ((2, 1), 0))
-        a = rho_exact(field, window, boundary=boundary, method="marginal")
-        b = rho_exact(field, window, boundary=boundary, method="extension")
-        assert set(a.values) == set(b.values)
-        assert a.partition_value == pytest.approx(b.partition_value, rel=1e-13)
-        assert max(abs(a.values[c] - b.values[c]) for c in a.values) <= 1e-13
+        a = rho_exact(field, window, boundary=boundary)
+        z = partition_function(field, window, boundary)
+        assert a.partition_value == pytest.approx(z, rel=1e-13)
         probes = [
             config(((1, 1), 0)),
             config(((0, 0), 0), ((0, 1), 0), ((1, 0), 0)),
@@ -769,7 +775,8 @@ class TestRhoExact:
 
     def test_routes_disagree_on_an_inconsistent_field(self):
         # TripleInteractionField's volume energy depends on the walk's
-        # path, so the two routes part and the self check refuses it
+        # path, so the walk's Z parts from the pass's and the self check
+        # refuses it
         pair = random_pair_field(random.Random(5), 2, SPINS3_MID, 1, 0.4)
         field = TripleInteractionField(pair, 0.3)
         window = tuple((i, j) for i in range(3) for j in range(3))[:7]
@@ -778,7 +785,7 @@ class TestRhoExact:
 
     def test_routes_share_one_transition_table(self):
         # a two-spin chain of radius 1 has 2**2 ball codes and 2**2
-        # (old, new) pairs, however many walks both routes make
+        # (old, new) pairs, however often the walk and the pass read them
         field = CountingField(chain_field(0.2))
         rho_exact(field, chain_window(8), method="both")
         assert field.calls <= 2**2 * 2**2
@@ -794,12 +801,42 @@ class TestRhoExact:
         assert len(table.values) == 2**3
 
     def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            rho_exact(chain_field(0.1), WINDOW2, method="fast")
+        for method in ("fast", "marginal"):
+            with pytest.raises(DomainError, match="unknown method"):
+                rho_exact(chain_field(0.1), WINDOW2, method=method)
+
+    def test_self_check_sees_one_scaled_weight(self, monkeypatch):
+        # the walk's Z is the check's only input besides the pass: one
+        # weight of the pass scaled by 1 + 1e-6 moves the pass's Z by
+        # far more than SELF_CHECK_TOL, and only the default walks
+        telescoped = exact._telescoped_weights
+
+        def scaled(transitions):
+            weights = telescoped(transitions)
+            weights[5] *= 1.0 + 1e-6
+            return weights
+
+        monkeypatch.setattr(exact, "_telescoped_weights", scaled)
+        field = load_model(str(MODELS / "chain_gated.model")).field
+        with pytest.raises(DomainError, match="routes disagree"):
+            rho_exact(field, chain_window(6))
+        rho_exact(field, chain_window(6), method="extension")
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             rho_exact(chain_field(0.1), chain_window(30))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [gibbs_distribution, functools.partial(rho_exact, method="extension")],
+    ids=["gibbs", "extension"],
+)
+def test_every_full_table_has_the_step_cap(call):
+    # 2**16 configurations are within the budget, (2 + 1)**16 steps are not:
+    # each full table builds the same q**n pass list and its fold
+    with pytest.raises(BudgetExceededError, match="needs 43046721 enumeration steps"):
+        call(chain_field(0.1), chain_window(16))
 
 
 PROBE_CASES = {
@@ -840,7 +877,7 @@ def brute_force_probe(field, window, boundary, probe):
     return math.fsum(numerator) / math.fsum(z)
 
 
-@pytest.mark.parametrize("method", ["marginal", "extension"])
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("name", sorted(PROBE_CASES))
 def test_rho_exact_matches_the_defining_sums(name, method):
     # one brute-force pass adds each configuration's weight to every
@@ -929,6 +966,29 @@ class TestRhoProbe:
             rho_probe(chain_field(0.1), WINDOW2, [singleton((9,))])
 
 
+@pytest.mark.parametrize("name", ["coexistence", "grid_gated"])
+def test_boundary_frame_moves_the_density_only_past_the_gate(name):
+    # claim (i)'s smallness condition is not removable in 2-d: at Ising
+    # coexistence, the density at (1, 1) of a 4x4 window follows its frame
+    # (0.0031 empty, 0.9969 all occupied), while on the gated grid the
+    # frame moves it by 7.9e-6
+    if name == "coexistence":
+        field = parse_model(COEXISTENCE_MODEL).field
+    else:
+        field = load_model(str(MODELS / f"{name}.model")).field
+    window = box((0, 0), (3, 3))
+    frame = sorted(box((-1, -1), (4, 4)) - window)
+    probe = singleton((1, 1))
+    empty = rho_probe(field, window, [probe])[probe]
+    full = rho_probe(field, window, [probe], config(*((s, 1) for s in frame)))[probe]
+    gated = field_bounds(field).passes
+    assert gated == (name == "grid_gated")
+    if gated:
+        assert abs(full - empty) <= 1e-5
+    else:
+        assert full - empty > 0.99
+
+
 class TestCorrelationEquation:
     def test_holds_on_gated_chain(self):
         field = chain_field(0.045)
@@ -970,12 +1030,12 @@ class TestCorrelationEquation:
         base = chain_field(0.05)
         field = TripleInteractionField(base, 0.2)
         window = chain_window(3)
-        # The two-route self check already refuses such a field: with a
-        # genuine three-body term the marginal and extension enumerations
-        # stop agreeing.
+        # The default self check already refuses such a field: with a
+        # genuine three-body term the walk's Z and the pass's stop
+        # agreeing.
         with pytest.raises(DomainError):
             rho_exact(field, window, method="both")
-        table = rho_exact(field, window, method="marginal")
+        table = rho_exact(field, window, method="extension")
         with pytest.raises(EnvironmentConditionError):
             verify_correlation_equation(field, window, table)
 
@@ -1052,19 +1112,22 @@ ORACLE_CASES = {
 }
 # (instances, repr(max_residual), witness, digest of every rhs repr) of each
 # report, as the oracle gave them when it looked each value up through a
-# fresh Configuration; reading the table by code must not move a bit
+# fresh Configuration; reading the table by code must not move a bit.  The
+# tables of chain_gated-12, q3-mid-vacuum, corrupted and sparse were
+# re-recorded when rho_exact took its weights from the telescoped pass
+# alone, which moved some of their entries by at most 1.2e-16
 ORACLE_GOLDEN = {
     "chain_gated-12": (
         4095,
-        "8.326672684688674e-17",
-        "x={(0,):1, (7,):1} lhs=0.24181167632669542 rhs=0.2418116763266955",
-        "9a94bbf2ed2e93af",
+        "5.551115123125783e-17",
+        "x={(0,):1} lhs=0.49450035068235754 rhs=0.4945003506823575",
+        "79fede8ea861745e",
     ),
     "q3-mid-vacuum": (
         242,
         "1.1102230246251565e-16",
-        "x={(1,):2} lhs=0.3796457279904657 rhs=0.3796457279904658",
-        "359181ddc9dc0ef0",
+        "x={(0,):2} lhs=0.3568783499227921 rhs=0.356878349922792",
+        "34e10b5ba4bc9708",
     ),
     "range-2": (
         63,
@@ -1088,13 +1151,13 @@ ORACLE_GOLDEN = {
         63,
         "2.3628347745052736e-07",
         "x={(1,):1, (2,):1} lhs=0.23628371375991145 rhs=0.236283477476434",
-        "c30e89bc9749cb78",
+        "091760c0ec0352a4",
     ),
     "sparse": (
         70,
         "0.125",
         "x={(1,):2, (5,):0} lhs=0.125 rhs=0.0",
-        "769a0d2e96d9dff2",
+        "1b0ab81697390283",
     ),
 }
 
@@ -1171,21 +1234,22 @@ def wide_window_table():
 
 
 # recorded before the reader coded tables the way the table does, as in
-# ORACLE_GOLDEN
+# ORACLE_GOLDEN, and re-recorded as it was when the tables moved to the
+# telescoped pass
 READER_GOLDEN = {
     "narrow-star": (
         narrow_star_table,
         15,
         "0.0029679170331795013",
         "x={(1,):0} lhs=0.3325979140973479 rhs=0.3296299970641684",
-        "9a31e7fec484b656",
+        "ee91be1f78a2ea50",
     ),
     "wide-window": (
         wide_window_table,
         80,
-        "1.1102230246251565e-16",
-        "x={(1,):2} lhs=0.33370351136594656 rhs=0.33370351136594645",
-        "8fccbc75fd0eed2e",
+        "5.551115123125783e-17",
+        "x={(0,):0} lhs=0.3337084113841083 rhs=0.33370841138410823",
+        "3ffd2cc9aca4e3de",
     ),
 }
 

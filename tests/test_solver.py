@@ -554,7 +554,7 @@ class TestGates:
         window = chain_window(3)
         with pytest.raises(EnvironmentConditionError) as solve_err:
             solve_finite_volume(field, window, override_gate=True)
-        table = rho_exact(field, window, method="marginal")
+        table = rho_exact(field, window, method="extension")
         with pytest.raises(EnvironmentConditionError) as oracle_err:
             verify_correlation_equation(field, window, table)
         assert str(oracle_err.value) == str(solve_err.value)
