@@ -1,27 +1,25 @@
 """Exact finite-volume quantities by full enumeration.
 
-Everything here is brute force on purpose: partition functions, Gibbs
-tables, and correlation functions are computed from every configuration
-of the window, and serve as ground truth for the solver.  Each
-enumeration builds one transition table of single-site energies, and
-two engines read it, one job each.  Full weight tables (`rho_exact`,
-`gibbs_distribution`) come from `_telescoped_weights`, which sums every
-configuration's energy in telescoping order in one pass per site that
-extends every partial sum of the later sites; `rho_exact` folds them
-into numerators with `_fold_numerators`, site by site in slices per
-block of the site's axis or strided slices per offset, whichever are
-fewer.  Partition functions stream through `_block_weights`, which walks
-the window in reflected Gray-code order, so each step changes one site
-and updates the volume energy by one single-site transition, and keeps
-no weight.  A walk runs in blocks of q**b positions aligned to multiples
-of q**b, q**b the largest power within DEFAULT_BLOCK; each block
-restarts from the telescoped energy of its first configuration, so
-rounding drift cannot accumulate across more than one block, and steps
-through the table's cached Gray move list in a local loop.  `rho_probe`
-pins no walk: a probe's numerator is a partition function with the
-probe moved into the boundary.  Both engines assume a volume-consistent
-field, whose energy does not depend on the order its sites are placed
-in; only `rho_exact`'s default check refuses one that is not, when the
+Everything here is exact on purpose: partition functions, Gibbs tables,
+and correlation functions sum every configuration of the window, and
+serve as ground truth for the solver.  Each sum builds one transition
+table of single-site energies, and one pass reads it, `_telescoped_weights`:
+it places the sites in reverse window order and extends every partial sum
+of the placed sites by each site's energy in telescoping order.  Full
+weight tables (`rho_exact`, `gibbs_distribution`) keep every site, and
+`rho_exact` folds them into numerators with `_fold_numerators`, site by
+site in slices per block of the site's axis or strided slices per offset,
+whichever are fewer.  Partition functions sum each site out, in the log
+domain, once no unplaced site's ball holds it, so their state grows with
+the window's frontier, not its volume; `rho_probe` pins no site: a
+probe's numerator is a partition function with the probe moved into the
+boundary.  The walk `_block_weights`, `rho_exact`'s default self-check,
+streams a Z from another placing path: reflected Gray-code order, each
+step one single-site transition, in blocks of q**b positions aligned to
+multiples of q**b (the largest power within DEFAULT_BLOCK), each from the
+telescoped energy of its first configuration.  Both engines assume a
+volume-consistent field, whose energy does not depend on the order its
+sites are placed in; only that check refuses one that is not, when the
 walk's Z parts from the pass's.
 
 A `CorrelationTable` holds its values by integer code.  The
@@ -35,6 +33,7 @@ terms listed once, so that checking an entry builds no `Configuration`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -57,6 +56,7 @@ MAX_SAFE_ENERGY = 700.0
 TRANSITION_TABLE_CAP = 1 << 16
 DEFAULT_BLOCK = 2048
 SELF_CHECK_TOL = 1e-12
+_STATE_BUDGET = 1 << 20
 
 
 def map_blocks(fn: Callable, ranges: Sequence[tuple], threads: int = 1) -> list:
@@ -65,10 +65,9 @@ def map_blocks(fn: Callable, ranges: Sequence[tuple], threads: int = 1) -> list:
     return [fn(start, stop) for start, stop in ranges]
 
 
-def _check_budget(required: int, what: str, unit: str = "configurations") -> None:
-    if required > DEFAULT_ENUM_BUDGET:
-        message = f"{what} needs {required} {unit}, budget is {DEFAULT_ENUM_BUDGET}"
-        raise BudgetExceededError(message)
+def _check_budget(required: int, what: str, unit: str, budget: int = DEFAULT_ENUM_BUDGET) -> None:
+    if required > budget:
+        raise BudgetExceededError(f"{what} needs {required} {unit}, budget is {budget}")
 
 
 def _full_table(
@@ -77,25 +76,22 @@ def _full_table(
     """The transition table of a full weight table, within the caps every
     such table shares: q**n configurations and (q + n_x)**n steps."""
     q, n = field.spins.size, len(window)
-    _check_budget(q**n, what)
+    _check_budget(q**n, what, "configurations")
     _check_budget((q + field.spins.n_x) ** n, route + what, "enumeration steps")
     return _TransitionTable(field, window, boundary)
 
 
 def _oracle_exp(exponent: float, what: str) -> float:
-    """exp for the oracle's weights and kernel factors: an exponent that
-    underflows gives 0, one beyond the safe range is refused."""
-    if exponent > MAX_SAFE_ENERGY:
-        _exp_all([exponent], what)
-    return math.exp(exponent)
+    """`_exp_all` of one exponent, in the oracle's loops: no list is built."""
+    return math.exp(exponent) if exponent <= MAX_SAFE_ENERGY else _exp_all([exponent], what)[0]
 
 
 def _exp_all(deltas: list, what: str = "volume energy") -> list:
-    """exp of every exponent; refuses them all, naming the largest |value|,
-    if any lies outside the safe exponent range."""
-    if max(map(abs, deltas)) > MAX_SAFE_ENERGY:
+    """exp of every exponent, one that underflows giving 0; refuses them
+    all, naming the largest, if any lies above the safe exponent range."""
+    if max(deltas) > MAX_SAFE_ENERGY:
         raise DomainError(
-            f"{what} {max(deltas, key=abs)!r} exceeds the safe exponent range "
+            f"{what} {max(deltas)!r} exceeds the safe exponent range "
             f"(+/-{MAX_SAFE_ENERGY}); rescale the couplings"
         )
     return list(map(math.exp, deltas))
@@ -360,9 +356,9 @@ class _VolumeWalker:
 
 
 def _block_weights(transitions: _TransitionTable) -> list:
-    """The one enumeration walk: every configuration of the table's
-    window, walked block by block through `map_blocks`.  Returns the fsum
-    of each block's weights exp{Delta_window(x, vacuum)} in block order,
+    """`rho_exact`'s self-check, the one enumeration walk: every window
+    configuration, block by block through `map_blocks`.  Returns the fsum of
+    each block's weights exp{Delta_window(x, vacuum)} in block order,
     holding one block's weights at a time."""
 
     def job(start: int, stop: int) -> float:
@@ -376,12 +372,11 @@ def partition_function(
     window: Iterable[tuple],
     boundary: Configuration = EMPTY_CONFIG,
 ) -> float:
-    """Sum of exp{Delta_window(x, vacuum)} over all configurations x.
+    """Sum of exp{Delta_window(x, vacuum)} over all configurations x, from
+    the pass that sums each site out; a Z beyond the float range is refused.
     Assumes a volume-consistent field (see the module docstring)."""
-    window = frozenset(window)
-    _check_budget(field.spins.size ** len(window), "partition function")
-    transitions = _TransitionTable(field, window, boundary)
-    return _weight_sum(_block_weights(transitions))
+    transitions = _TransitionTable(field, frozenset(window), boundary)
+    return _weight_sum(map(math.exp, _telescoped_weights(transitions, True)))
 
 
 @dataclass(frozen=True)
@@ -515,23 +510,34 @@ def _fold_numerators(transitions: _TransitionTable, weights: list) -> list:
     return weights
 
 
-def _telescoped_weights(transitions: _TransitionTable) -> list:
+def _telescoped_weights(transitions: _TransitionTable, summed: bool = False) -> list:
     """exp{Delta_window(x, vacuum)} of every window configuration x, by
     `code` (first window site most significant), from one pass per site
     in reverse window order: each term is the table's energy of one site
     leaving the vacuum with the later sites placed and the earlier ones
-    vacuum, as `seek` telescopes.  Site k's pass lists its ball code under
-    every placement of the later sites, takes each distinct code's energy
-    once per spin, and lays the q extended partial-sum lists end to end
-    (the vacuum's is the previous list).  No walker runs, so no weight
-    depends on a walk's path."""
+    vacuum, as `seek` telescopes.  Site k's pass takes each distinct ball
+    code's energy once per spin and lays the q extended partial-sum lists
+    end to end (the vacuum's is the previous list).  No walker runs, so no
+    weight depends on a walk's path.  `summed` log-sum-exps each placed
+    site out once no unplaced site's ball holds it and returns [log Z]; the
+    held sites' state count depends only on the window, and one above
+    _STATE_BUDGET is refused before the first list is built."""
     n = len(transitions.order)
     q, vac = transitions.base, transitions.vacuum
+    neighbours = transitions.neighbours
+    # site j is held from its own step down to step leave[j] (to the last
+    # step unless summed), so #(leave <= k) - k sites are held at step k
+    leave = [min([j] + [i for i, _ in neighbours[j]]) if summed else -1 for j in range(n)]
+    if summed:
+        held = sorted(leave)
+        peak = max([bisect_right(held, k) - k for k in range(n)], default=0)
+        _check_budget(q**peak, "partition function", "states", _STATE_BUDGET)
+    state: list = []  # the sites the partial sums run over, most significant first
     deltas = [0.0]
     for k in range(n - 1, -1, -1):
         balls = [transitions.boundary_codes[k]]
-        for j in range(k + 1, n):
-            place = dict(transitions.neighbours[j]).get(k, 0)
+        for j in state:
+            place = dict(neighbours[j]).get(k, 0)
             balls = [c + (b - vac) * place for c in balls for b in range(q)]
         extended = []
         for b in range(q):
@@ -541,7 +547,18 @@ def _telescoped_weights(transitions: _TransitionTable) -> list:
             energy = {c: transitions.energy(k, c, vac, b) for c in set(balls)}
             extended += [d + energy[c] for d, c in zip(deltas, balls)]
         deltas = extended
-    return _exp_all(deltas)
+        state.insert(0, k)
+        for j in [j for j in state if leave[j] == k]:
+            stride = q ** (len(state) - 1 - state.index(j))
+            state.remove(j)
+            starts = (i for i in range(len(deltas)) if i // stride % q == 0)
+            axes = (deltas[i : i + q * stride : stride] for i in starts)
+            deltas = [
+                t + math.log(math.fsum(math.exp(d - t) for d in a)) for a in axes for t in [max(a)]
+            ]
+    if summed and not math.isfinite(deltas[0]):
+        raise DomainError(f"the window's log weight sum is {deltas[0]!r}; rescale the couplings")
+    return deltas if summed else _exp_all(deltas)
 
 
 def rho_exact(
@@ -589,16 +606,16 @@ def rho_probe(
     boundary: Configuration = EMPTY_CONFIG,
 ) -> dict:
     """Correlation values for selected configurations only, without
-    materializing a table (the enumeration budget still applies).
+    materializing a table.
 
     For x equal to the probe p on its support, the split identity of
     checks.check_field_consistency gives Delta_W(x | B) = Delta_p(p | B) +
     Delta_{W - supp p}(x - p | B + p), so each value is exp Delta_p(p | B)
-    times Z(W - supp p, B + p) over Z(W, B).  Assumes a volume-consistent
-    field (see the module docstring)."""
+    times Z(W - supp p, B + p) over Z(W, B).  It is read from log Z values
+    of the summed pass, so no exponent range limits a probe on a
+    volume-consistent field, which the value assumes (module docstring)."""
     window = frozenset(window)
-    _check_budget(field.spins.size ** len(window), "correlation probe")
-    z = partition_function(field, window, boundary)
+    (log_z,) = _telescoped_weights(_TransitionTable(field, window, boundary), True)
     out: dict = {}
     for probe in probes:
         support = probe.support
@@ -608,9 +625,9 @@ def rho_probe(
             out[probe] = 1.0
             continue
         delta = delta_volume(field, support, boundary, probe, EMPTY_CONFIG)
-        (weight,) = _exp_all([delta])
-        rest = partition_function(field, window - support, concat(boundary, probe))
-        out[probe] = weight * rest / z
+        rest = _TransitionTable(field, window - support, concat(boundary, probe))
+        (log_rest,) = _telescoped_weights(rest, True)
+        out[probe] = _exp_all([delta + log_rest - log_z], "probe exponent")[0]
     return out
 
 

@@ -40,7 +40,7 @@ from .errors import (
     GateNotCertifiedError,
     SolverDivergenceError,
 )
-from .exact import CorrelationTable, _check_budget, map_blocks, rho_probe
+from .exact import CorrelationTable, map_blocks, rho_probe
 from .fields import (
     FieldBounds,
     OnePointField,
@@ -50,7 +50,6 @@ from .fields import (
     require_homogeneous,
 )
 from .lattice import (
-    DEFAULT_ENUM_BUDGET,
     MAX_UNKNOWNS,
     Configuration,
     distance_to_complement,
@@ -708,10 +707,10 @@ def convergence_profile(
     """Deviation-vs-depth study: how fast window correlation values
     approach the large-volume limit.
 
-    The last (largest) window serves as the reference; the emitted series
-    covers the remaining windows.  Each window is solved by the iterative
-    route when its domain is small and by targeted exact enumeration
-    otherwise, so the series never leans on a single numerical path."""
+    The last (largest) window is the reference, read by `rho_probe`; the
+    series covers the others, each solved by the iterative route when its
+    domain is small and read by `rho_probe` otherwise, so the series never
+    leans on a single numerical path."""
     vols = [frozenset(w) for w in windows]
     if len(vols) < 2:
         raise DomainError("need at least two windows (the last is the reference)")
@@ -732,26 +731,10 @@ def convergence_profile(
     bounds = field_bounds(field)
     certified, _ = _contraction_gate(bounds, override_gate)
 
-    # the windows past the solver's limit are enumerated: refuse any over
-    # the budget before the reference is computed
-    for window in vols[:-1]:
-        if spins.size ** len(window) - 1 > PROFILE_SOLVER_LIMIT:
-            _check_budget(spins.size ** len(window), "correlation probe")
+    # no window's pass holds more states than the reference's, so a family
+    # over the state budget is refused here, before any window is solved
     reference = vols[-1]
-    if spins.size ** len(reference) <= DEFAULT_ENUM_BUDGET:
-        ref_values = rho_probe(field, reference, probes)
-        reference_method = "enumeration"
-    else:
-        k_max = max(4, max(len(p) for p in probes))
-        sol, _ = solve_infinite_volume(
-            field,
-            reference,
-            tol,
-            k_max=k_max,
-            override_gate=override_gate,
-        )
-        ref_values = {p: sol.value(p) for p in probes}
-        reference_method = "window-iteration"
+    ref_values = rho_probe(field, reference, probes)
 
     rates: list = []
     raw_points: list = []
@@ -805,7 +788,7 @@ def convergence_profile(
     return ConvergenceSeries(
         tuple(points),
         len(reference),
-        reference_method,
+        "enumeration",
         epsilon_source,
         contraction,
     )

@@ -438,24 +438,34 @@ class TestConvergeCommand:
         assert proc.stderr == "error: need at least two windows (the last is the reference)\n"
 
     def test_over_budget_window_is_refused_before_the_reference(self, monkeypatch, capsys):
-        # the 7x7 reference goes to the window iteration; the 5x5 window's
-        # probes are over the enumeration budget, and that is found first
-        def reference(*args, **kwargs):
-            raise AssertionError("the reference was computed")
+        # the 21x21 reference's pass would hold a row and a site, 2**22
+        # states: it is refused before its first energy, and so before any
+        # window is solved (no smaller window holds more states)
+        def work(*args, **kwargs):
+            raise AssertionError("work was done")
 
-        monkeypatch.setattr("spincorr.solver.solve_infinite_volume", reference)
-        argv = ["converge", "--model", model("grid_gated"), "--window=-2,-2:2,2;-3,-3:3,3"]
+        monkeypatch.setattr("spincorr.solver.solve_finite_volume", work)
+        monkeypatch.setattr("spincorr.exact._TransitionTable.energy", work)
+        argv = ["converge", "--model", model("grid_gated"), "--window=-1,-1:1,1;-10,-10:10,10"]
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            "budget exceeded: correlation probe needs 33554432 configurations, "
-            "budget is 16777216\n"
+            "budget exceeded: partition function needs 4194304 states, budget is 1048576\n"
         )
+
+    def test_two_dimensional_reference_is_enumerated(self, capsys):
+        # 2**49 configurations, but the pass holds at most 2**8 states
+        argv = ["converge", "--model", model("grid_gated"), "--window=-2,-2:2,2;-3,-3:3,3"]
+        assert cli.main(argv) == 0
+        out, _ = capsys.readouterr()
+        assert out.splitlines()[:2] == ["reference_size = 49", "reference_method = enumeration"]
 
     def test_epsilon_unavailable_without_a_contraction_rate(self, capsys):
         # the gate fails and the 11-site window is enumerated, so no rate
-        # below 1 is measured and no epsilon is printed
+        # below 1 is measured and no epsilon is printed (the deviation was
+        # re-recorded, 2.2e-16 higher, when every probe Z came from the
+        # summed pass)
         argv = ["converge", "--model", model("strong"), "--window=0:10;0:12"]
         assert cli.main([*argv, "--override-gate"]) == 0
         out, _ = capsys.readouterr()
@@ -464,7 +474,7 @@ class TestConvergeCommand:
             "reference_method = enumeration",
             "epsilon_source = unavailable",
             "window_size,d,max_abs_deviation,epsilon_bound,iterations,residual",
-            "11,6,0.0005129384808065796,,0,0.0",
+            "11,6,0.0005129384808068016,,0,0.0",
         ]
 
 
@@ -573,6 +583,29 @@ class TestExponentRange:
             "error: kernel exponent 800.0 exceeds the safe exponent range "
             "(+/-700.0); rescale the couplings"
         ]
+
+    def test_underflowing_weights_are_zero(self, tmp_path, capsys):
+        # J = 120 weighs every adjacent occupied pair e**-120 or less, and
+        # the fully occupied window's e**-840 underflows: Z is the hard-core
+        # count of the 8-site chain, F(10), and the oracle passes
+        text = "dimension = 1\nspins = 0 1\nvacuum = 0\nrange = 1\ncoupling (1) 1 1 = 120.0\n"
+        path = write_model(tmp_path, text)
+        assert cli.main(["exact", "--window=0:7", "--model", path]) == 0
+        out, _ = capsys.readouterr()
+        assert "partition_value = 55.0" in out.splitlines()
+        assert out.strip().splitlines()[-1].endswith("[pass]")
+
+    def test_infinite_volume_energy_is_exit_two(self, tmp_path, capsys):
+        # swap energies of -2 * -1.7e308 = inf: the summed pass ends with a
+        # log weight sum that is not finite, refused rather than printed as
+        # a nan deviation
+        text = "dimension = 1\nspins = 0 1\nvacuum = 0\nrange = 1\n"
+        text += "coupling (1) 1 1 = -1.7e308\nonebody 1 = -1.7e308\n"
+        path = write_model(tmp_path, text)
+        argv = ["converge", "--window=0:10;0:12", "--override-gate", "--model", path]
+        assert cli.main(argv) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith("error: the window's log weight sum is ")
 
     def test_overflowing_weight_sum_is_exit_two(self, tmp_path, capsys):
         # every weight is e**700, inside the exponent range, but the sum of
@@ -799,6 +832,19 @@ class TestImportCost:
         code = f"from spincorr import cli\nassert cli.main({argv!r}) == 0"
         assert loaded_after(code) == "[]"
 
+    def test_partition_function_and_probes_load_neither(self):
+        # the pass that sums sites out is plain Python, so a converge
+        # reference costs no numpy
+        code = (
+            "from spincorr import Configuration, box, load_model, partition_function, rho_probe\n"
+            f"field = load_model({model('grid_gated')!r}).field\n"
+            "window = box((0, 0), (4, 4))\n"
+            "assert partition_function(field, window) > 1.0\n"
+            "probe = Configuration((((2, 2), 1),))\n"
+            "assert 0.0 < rho_probe(field, window, [probe])[probe] < 1.0\n"
+        )
+        assert loaded_after(code) == "[]"
+
     def test_exact_does_not_load_the_solver(self):
         argv = ["exact", "--model", model("chain_gated"), "--window=0:3"]
         code = f"from spincorr import cli\nassert cli.main({argv!r}) == 0"
@@ -871,9 +917,12 @@ TABLE_DIGESTS = {
         "0be1548f4908b71d3ca3454c5f8898ca8c0135e90ba3580ca8a7e7e7b9613050",
         "3fc2273ea909fce0a4f107a5d255b006e7e3a0b6aa389baf5e8ef391b02e91f3",
     ),
+    # re-recorded when the reference's Z came from the summed pass: the
+    # 5-site window's deviation moved by 2.2e-16, every other printed value
+    # kept its bytes
     ("chain_gated", "converge"): (
-        "2791e613665404644eefe847eaab9bbb8e53534206a99c7c4066391615f9d562",
-        "58cfc0c3d9aa2fefff3a8e4a7262061bfdb06a0b06a5c092861c56ab6204f795",
+        "954f79bdf5a617d395b850b81d9e9da9f17266cb6ce348f67aa83ee1c45ddfe7",
+        "689e25722cbdc82ba7c727141dd7e58014f0e269df86d54e7917033b43d1e5d6",
     ),
     # q = 3 with a mid-alphabet vacuum: the table's (size, items) row order
     # differs from the enumeration's code order (recorded before the table

@@ -53,6 +53,7 @@ from support import (
     brute_force_partition,
     chain_field,
     config,
+    grid_field,
     random_pair_field,
     singleton,
 )
@@ -431,13 +432,18 @@ def test_move_lists_are_built_once_per_call(monkeypatch):
         return gray_step(digits, steps, q)
 
     monkeypatch.setattr(exact, "_gray_step", counting)
-    # 3**8 positions walk in 9 blocks of 3**6, forward and backward: the
-    # forward 6-digit list makes 3**6 - 1 moves and one call that ends it,
-    # and the backward list reverses it without a call
+    # rho_exact's self-check walks 3**8 positions in 9 blocks of 3**6,
+    # forward and backward: the forward 6-digit list makes 3**6 - 1 moves
+    # and one call that ends it, and the backward list reverses it without
+    # a call
     field = random_pair_field(random.Random(8), 1, SPINS3, 1, max_coupling=0.3)
-    partition_function(field, chain_window(8))
+    rho_exact(field, chain_window(8))
     assert built == {6: 3**6}
     # the lists live on the call's table, not beyond it
+    rho_exact(field, chain_window(8))
+    assert built == {6: 2 * 3**6}
+    # the other routes walk nothing
+    rho_exact(field, chain_window(8), method="extension")
     partition_function(field, chain_window(8))
     assert built == {6: 2 * 3**6}
 
@@ -621,28 +627,59 @@ class TestPartitionFunction:
         z_ref = brute_force_partition(field, window, boundary, delta_volume)
         assert z == pytest.approx(z_ref, rel=1e-12)
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            partition_function(chain_field(0.1), chain_window(30))
+    def test_budget(self, monkeypatch):
+        # a 30-site chain holds one site at a time; a 21 x 21 box holds a
+        # row and a site, 2**22 states, and is refused before any energy
+        field = grid_field(0.1)
+        assert partition_function(chain_field(0.1), chain_window(30)) > 1.0
+
+        def energy(*args):
+            raise AssertionError("an energy was evaluated")
+
+        monkeypatch.setattr(_TransitionTable, "energy", energy)
+        with pytest.raises(BudgetExceededError, match="needs 4194304 states, budget is 1048576"):
+            partition_function(field, box((0, 0), (20, 20)))
 
     @pytest.mark.parametrize(
         "call",
         [
             partition_function,
             gibbs_distribution,
-            lambda field, window: rho_probe(field, window, [singleton((0,))]),
             *(functools.partial(rho_exact, method=m) for m in METHODS),
         ],
-        ids=["partition", "gibbs", "probe", *METHODS],
+        ids=["partition", "gibbs", *METHODS],
     )
     def test_overflowing_weight_sum_is_refused(self, call):
         # 8**5 configurations of weight e**700 each: every exponent is in
         # range, their sum is not
-        spins = SpinSpace(tuple("0abcdefgh"))
-        potential = PairPotential.create(1, 1, {}, spins)
-        field = PairField(potential, spins, [0.0] + [-140.0] * 8)
         with pytest.raises(DomainError, match="weight sum overflows the float range"):
-            call(field, chain_window(5))
+            call(overflowing_field(), chain_window(5))
+
+    def test_probe_reads_past_an_overflowing_weight_sum(self):
+        # a probe combines log Z values, so the sum that overflows above
+        # cancels: each of the 8 spins at a site has probability 1/8 up to
+        # the vacuum's share e**-140
+        probe = singleton((0,))
+        value = rho_probe(overflowing_field(), chain_window(5), [probe])[probe]
+        assert value == pytest.approx(1.0 / 8.0, rel=1e-12)
+
+    def test_underflowing_weights_count_as_zero(self):
+        # J = 120 makes every adjacent occupied pair weigh e**-120 or less,
+        # and the fully occupied chain's e**-840 underflows: what remains is
+        # the hard-core count of the 8-site chain, F(10)
+        z = partition_function(chain_field(120.0), chain_window(8))
+        assert z == pytest.approx(55.0, rel=1e-14)
+        table = rho_exact(chain_field(120.0), chain_window(8))
+        assert table.partition_value == 55.0
+        assert table.value(config(((0,), 1), ((1,), 1))) < 1e-50
+
+
+def overflowing_field() -> PairField:
+    """Nine spins, each of the eight non-vacuum ones weighing e**140 at
+    every site."""
+    spins = SpinSpace(tuple("0abcdefgh"))
+    potential = PairPotential.create(1, 1, {}, spins)
+    return PairField(potential, spins, [0.0] + [-140.0] * 8)
 
 
 class TestGibbsDistribution:
@@ -970,23 +1007,25 @@ class TestRhoProbe:
 def test_boundary_frame_moves_the_density_only_past_the_gate(name):
     # claim (i)'s smallness condition is not removable in 2-d: at Ising
     # coexistence, the density at (1, 1) of a 4x4 window follows its frame
-    # (0.0031 empty, 0.9969 all occupied), while on the gated grid the
-    # frame moves it by 7.9e-6
+    # (0.0031 empty, 0.9969 all occupied), and at the centre of a 9x9 one
+    # still by 0.994, while on the gated grid the frame moves them by
+    # 7.9e-6 and 1.2e-13
     if name == "coexistence":
         field = parse_model(COEXISTENCE_MODEL).field
     else:
         field = load_model(str(MODELS / f"{name}.model")).field
-    window = box((0, 0), (3, 3))
-    frame = sorted(box((-1, -1), (4, 4)) - window)
-    probe = singleton((1, 1))
-    empty = rho_probe(field, window, [probe])[probe]
-    full = rho_probe(field, window, [probe], config(*((s, 1) for s in frame)))[probe]
     gated = field_bounds(field).passes
     assert gated == (name == "grid_gated")
-    if gated:
-        assert abs(full - empty) <= 1e-5
-    else:
-        assert full - empty > 0.99
+    for side, centre, gated_gap in ((4, (1, 1), 1e-5), (9, (4, 4), 1e-12)):
+        window = box((0, 0), (side - 1, side - 1))
+        frame = sorted(box((-1, -1), (side, side)) - window)
+        probe = singleton(centre)
+        empty = rho_probe(field, window, [probe])[probe]
+        full = rho_probe(field, window, [probe], config(*((s, 1) for s in frame)))[probe]
+        if gated:
+            assert abs(full - empty) <= gated_gap
+        else:
+            assert full - empty > 0.99
 
 
 class TestCorrelationEquation:
@@ -1062,6 +1101,37 @@ class TestCorrelationEquation:
 
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+
+
+SWEEP_FIELDS = {
+    **{
+        path.stem: functools.partial(lambda path: load_model(str(path)).field, path)
+        for path in sorted(MODELS.glob("*.model"))
+    },
+    "range-2-q3-mid": lambda: random_pair_field(random.Random(2), 1, SPINS3_MID, 2, 0.3),
+    "consistent-perturbed": lambda: walk_field("perturbed", random.Random(4), 2, SPINS3_MID),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
+def test_summed_pass_matches_the_walk(name):
+    # the pass that sums each site out ends with [log Z]; the walk sums
+    # every configuration's weight along another placing path.  Each window
+    # is tried free and inside a frame two sites deep
+    field = SWEEP_FIELDS[name]()
+    star = field.spins.star_indices
+    if field.dimension == 1:
+        window, outer = box((0,), (8,)), box((-2,), (10,))
+    else:
+        window, outer = box((0, 0), (2, 2)), box((-2, -2), (4, 4))
+    sites = sorted(outer - window)
+    frame = Configuration((s, star[i % len(star)]) for i, s in enumerate(sites))
+    for boundary in (EMPTY_CONFIG, frame):
+        table = _TransitionTable(field, window, boundary)
+        walked = math.fsum(exact._block_weights(table))
+        (log_z,) = exact._telescoped_weights(table, True)
+        assert math.exp(log_z) == pytest.approx(walked, rel=1e-12, abs=0.0)
+        assert partition_function(field, window, boundary) == math.exp(log_z)
 
 
 def grid_window(rows: int, columns: int) -> tuple:

@@ -1,6 +1,7 @@
 import math
 import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,6 +272,18 @@ class TestIdentities:
         report = check_one_point_consistency(bad, plan)
         assert not report.passed
         assert report.max_residual >= 0.1
+
+    def test_bump_past_the_rounding_allowance_fails(self):
+        # beside a one-body term of 1e6, an identity may miss by
+        # ROUNDING_EPSILONS machine epsilons of its scale of about 2e6; a
+        # bump of 100 of them, 4.4e-8, is far past the tolerance too
+        pot = PairPotential.create(1, 1, {((1,), 1, 1): 0.1}, SPINS2)
+        base = PairField(pot, SPINS2, [0.0, 1e6])
+        bad = PerturbedField(base, (0,), 1, 0, 100 * sys.float_info.epsilon * 2e6)
+        plan = one_point_plan_exhaustive(bad, [(-1,), (0,), (1,)])
+        report = check_one_point_consistency(bad, plan)
+        assert not report.passed
+        assert " t=(0,) " in report.witness
 
     def test_triple_interaction_breaks_environment(self):
         base = chain_field(0.1)

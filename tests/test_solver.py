@@ -30,7 +30,6 @@ from spincorr.fields import (
 )
 from spincorr.lattice import enumerate_configs
 from spincorr.modelfile import load_model
-from spincorr import solver as solver_module
 from spincorr.solver import (
     OperatorContext,
     _direct_solve,
@@ -750,22 +749,6 @@ class TestConvergenceProfile:
         assert all(a >= b for a, b in zip(devs, devs[1:]))
         assert all(p.max_deviation <= p.epsilon for p in series.points)
         assert devs[-1] <= devs[0] * 0.1
-
-    def test_window_iteration_reference(self, monkeypatch):
-        # a reference beyond the enumeration budget is solved by the
-        # window iteration; the series keeps its windows and depths
-        field = chain_field(0.045)
-        windows = [centered_window(n) for n in (1, 2, 3, 4)]
-        probes = [singleton((0,)), config(((0,), 1), ((1,), 1))]
-        enumerated = convergence_profile(field, windows, probes)
-        assert enumerated.reference_method == "enumeration"
-        monkeypatch.setattr(solver_module, "DEFAULT_ENUM_BUDGET", 2**8)
-        iterated = convergence_profile(field, windows, probes)
-        assert iterated.reference_method == "window-iteration"
-        assert iterated.reference_size == enumerated.reference_size == 9
-        shape = [(p.window_size, p.depth) for p in iterated.points]
-        assert shape == [(p.window_size, p.depth) for p in enumerated.points]
-        assert all(math.isfinite(p.max_deviation) for p in iterated.points)
 
     def test_validation(self):
         field = chain_field(0.045)
